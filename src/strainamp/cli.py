@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .config import ConfigError, RunConfig, parse_config, parse_sweep_config
 from .diagnostics import envelope_check
 from .dynamics import make_state, run
+from .grid import fft_workers
 from .initdata import initial_strain
 from .verify import format_table, run_checks
 
@@ -77,7 +78,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         base, ranges = parse_sweep_config(_read(args.config))
-    except (ConfigError, OSError) as exc:
+        fft_workers()
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

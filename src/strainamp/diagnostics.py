@@ -12,17 +12,16 @@ from .fields import (
     SYM_WEIGHTS,
     SymTensorField,
     VectorField,
+    _component_weights,
     l2_inner,
     l2_norm_sq,
 )
 from .operators import (
     _as_real,
     _as_spectral,
-    advection_term,
+    _strain_project_raw,
+    _strain_triple,
     lambda_fields,
-    omega_outer,
-    s_squared,
-    strain_project,
     velocity_of,
     vorticity_of,
 )
@@ -78,12 +77,6 @@ def p_exponent(q: float) -> float:
 # -- Sobolev norms -----------------------------------------------------------
 
 
-def _comp_weights(f) -> np.ndarray | float:
-    if isinstance(f, SymTensorField):
-        return SYM_WEIGHTS.reshape(6, 1, 1, 1)
-    return 1.0
-
-
 def _hs_weight(grid, alpha: float) -> np.ndarray:
     if alpha == 0:
         return np.ones_like(grid.k2)
@@ -102,7 +95,7 @@ def hs_norm_sq(f, alpha: float) -> float:
     sf = _as_spectral(f)
     g = sf.grid
     s = np.sum(
-        _comp_weights(sf) * g.hermitian_weight * _hs_weight(g, alpha)
+        _component_weights(sf) * g.hermitian_weight * _hs_weight(g, alpha)
         * (sf.data.real**2 + sf.data.imag**2)
     )
     return float(g.box_length**3 * s)
@@ -207,18 +200,26 @@ def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
 # -- identity residuals ---------------------------------------------------------
 
 
-def isometry_residual(S: SymTensorField) -> float:
-    """Max relative spread of ||S||^2, ||omega||^2/2, ||grad u||^2/2 over
-    H^alpha, alpha in {-1, 0, 1}."""
-    sf = _as_spectral(S)
-    u = velocity_of(sf)
-    w = vorticity_of(u)
+class _Sample:
+    """Fields derived from one strain sample, built once: S spectral and real,
+    int det(S), u = velocity_of(S) (one strain-space residual check) and
+    omega; u and omega memoize their real samples."""
+
+    def __init__(self, S: SymTensorField) -> None:
+        self.S = _as_spectral(S)
+        self.s_re = _as_real(S).data
+        self.det = det_integral(S)
+        self.u = velocity_of(self.S)
+        self.w = vorticity_of(self.u)
+
+
+def _isometry(b: _Sample) -> float:
     worst = 0.0
     for alpha in (-1.0, 0.0, 1.0):
         vals = (
-            hs_norm_sq(sf, alpha),
-            0.5 * hs_norm_sq(w, alpha),
-            0.5 * grad_hs_norm_sq(u, alpha),
+            hs_norm_sq(b.S, alpha),
+            0.5 * hs_norm_sq(b.w, alpha),
+            0.5 * grad_hs_norm_sq(b.u, alpha),
         )
         top = max(vals)
         if top > 0:
@@ -226,46 +227,53 @@ def isometry_residual(S: SymTensorField) -> float:
     return worst
 
 
-def _dropped_term(S: SymTensorField) -> SymTensorField:
-    """P_st((u.grad)S + S^2/3 + omega x omega / 4), the model-equation remainder."""
-    sf = _as_spectral(S)
-    u = velocity_of(sf)
-    w = vorticity_of(u)
-    adv = advection_term(u, sf)
-    s2 = s_squared(sf)
-    oo = omega_outer(w)
-    combo = SymTensorField(
-        sf.grid, adv.data + s2.data / 3.0 + 0.25 * oo.data
-    )
-    return strain_project(combo)
+def isometry_residual(S: SymTensorField) -> float:
+    """Max relative spread of ||S||^2, ||omega||^2/2, ||grad u||^2/2 over
+    H^alpha, alpha in {-1, 0, 1}."""
+    return _isometry(_Sample(S))
+
+
+def _orth_and_ratio(b: _Sample, nu: float | None = None) -> tuple[float, float | None]:
+    """res_orth of the dropped term D = P_st((u.grad)S + S^2/3 + omega x omega/4)
+    and, if nu is given, the ratio ||D|| / ||retained||, from one triple;
+    (0.0, None) for the zero field."""
+    sf, g = b.S, b.S.grid
+    ns = math.sqrt(l2_norm_sq(sf))
+    if ns == 0.0:
+        return 0.0, None
+    combo = _strain_triple(sf, b.u, b.w)
+    term = SymTensorField(g, _strain_project_raw(g, combo(1.0, 1.0 / 3.0, 0.25)))
+    nt = math.sqrt(l2_norm_sq(term))
+    orth = abs(l2_inner(term, sf)) / (nt * ns + _EPS)
+    if nu is None:
+        return orth, None
+    kept = _strain_project_raw(g, combo(0.5, 5.0 / 6.0, 0.125))
+    den = math.sqrt(l2_norm_sq(SymTensorField(g, -nu * laplacian(sf).data + kept)))
+    return orth, (nt / den if den != 0.0 else math.inf)
 
 
 def orthogonality_residual(S: SymTensorField) -> float:
     """|<dropped term, S>| / (||dropped term|| ||S||); zero for the zero field."""
-    sf = _as_spectral(S)
-    ns = math.sqrt(l2_norm_sq(sf))
-    if ns == 0.0:
-        return 0.0
-    term = _dropped_term(sf)
-    nt = math.sqrt(l2_norm_sq(term))
-    return abs(l2_inner(term, sf)) / (nt * ns + _EPS)
+    return _orth_and_ratio(_Sample(S))[0]
+
+
+def _vortex_det(b: _Sample) -> float:
+    g, s_re = b.S.grid, b.s_re
+    wdat = b.w.real_samples()
+    pair = 0.0
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        pair += SYM_WEIGHTS[c] * np.sum(s_re[c] * wdat[i] * wdat[j])
+    pair = float(pair * g.cell_volume)
+    lhs = pair + 4.0 * b.det
+    wmag2 = wdat[0] ** 2 + wdat[1] ** 2 + wdat[2] ** 2
+    wl4_sq = float(np.sqrt(g.cell_volume * np.sum(wmag2**2)))
+    ns = math.sqrt(l2_norm_sq(SymTensorField(g, s_re)))
+    return abs(lhs) / (ns * wl4_sq + _EPS)
 
 
 def vortex_det_residual(S: SymTensorField) -> float:
     """|<S, omega x omega> + 4 int det(S)| scaled by ||S|| ||omega||^2_{L^4}."""
-    sr = _as_real(S)
-    u = velocity_of(_as_spectral(S))
-    w_re = _as_real(vorticity_of(u))
-    wdat = w_re.data
-    pair = 0.0
-    for c, (i, j) in enumerate(SYM_PAIRS):
-        pair += SYM_WEIGHTS[c] * np.sum(sr.data[c] * wdat[i] * wdat[j])
-    pair = float(pair * sr.grid.cell_volume)
-    lhs = pair + 4.0 * det_integral(sr)
-    wmag2 = wdat[0] ** 2 + wdat[1] ** 2 + wdat[2] ** 2
-    wl4_sq = float(np.sqrt(sr.grid.cell_volume * np.sum(wmag2**2)))
-    ns = math.sqrt(l2_norm_sq(sr))
-    return abs(lhs) / (ns * wl4_sq + _EPS)
+    return _vortex_det(_Sample(S))
 
 
 def perturbative_ratio(S: SymTensorField, nu: float) -> float:
@@ -273,27 +281,13 @@ def perturbative_ratio(S: SymTensorField, nu: float) -> float:
 
     ratio = ||P_st((u.grad)S + S^2/3 + omega x omega/4)||
           / ||-nu lap S + P_st((u.grad)S/2 + 5 S^2/6 + omega x omega/8)||
-    """
+
+    The numerator is the dropped term of res_orth; both combinations come
+    from one real-space triple at one forward transform each."""
     sf = _as_spectral(S)
     if l2_norm_sq(sf) == 0.0:
         raise ValueError("ratio is undefined for the zero field")
-    u = velocity_of(sf)
-    w = vorticity_of(u)
-    adv = advection_term(u, sf)
-    s2 = s_squared(sf)
-    oo = omega_outer(w)
-    num_t = strain_project(
-        SymTensorField(sf.grid, adv.data + s2.data / 3.0 + 0.25 * oo.data)
-    )
-    den_proj = strain_project(
-        SymTensorField(sf.grid, 0.5 * adv.data + (5.0 / 6.0) * s2.data + 0.125 * oo.data)
-    )
-    den_t = SymTensorField(sf.grid, -nu * laplacian(sf).data + den_proj.data)
-    num = math.sqrt(l2_norm_sq(num_t))
-    den = math.sqrt(l2_norm_sq(den_t))
-    if den == 0.0:
-        return math.inf
-    return num / den
+    return _orth_and_ratio(_Sample(sf), nu)[1]
 
 
 def enstrophy_identity_residual(samples, nu: float) -> float:
@@ -422,25 +416,31 @@ class DiagnosticsRecord:
 
 
 def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
-    """Instantaneous functionals used by the run loop to assemble records."""
-    sf = _as_spectral(S)
+    """Instantaneous functionals used by the run loop to assemble records.
+
+    One derived-field bundle per call, dropped on return: S's real samples,
+    one velocity_of (so one strain-space residual check), omega, and int
+    det(S) for detS, f and res_vortdet. H1 serves the record and f; res_orth
+    and the ratio share one real-space triple."""
+    lam2_norms = lambda_lq_norms(S)  # before the bundle, to keep the peak low
+    b = _Sample(S)
+    sf = b.S
     e = enstrophy(sf)
+    h1 = hs_norm_sq(sf, 1.0)
+    f = -3.0 * nu * h1 - 4.0 * b.det
     vals = {
         "E": e,
         "K": energy(sf),
-        "H1": hs_norm_sq(sf, 1.0),
-        "detS": det_integral(sf),
-        "trS3": trace_cubed_integral(sf),
-        "f": f_of(sf, nu),
-        "lam2_norms": lambda_lq_norms(sf),
-        "g": None,
-        "ratio": None,
-        "res_orth": orthogonality_residual(sf),
-        "res_vortdet": vortex_det_residual(sf),
-        "res_isometry": isometry_residual(sf),
+        "H1": h1,
+        "detS": b.det,
+        "trS3": trace_cubed_integral(S),
+        "f": f,
+        "lam2_norms": lam2_norms,
+        "g": f / e**1.5 if e > 0.0 else None,
     }
-    if e > 0.0:
-        vals["g"] = vals["f"] / e**1.5
-        if with_ratio:
-            vals["ratio"] = perturbative_ratio(sf, nu)
+    vals["res_orth"], vals["ratio"] = _orth_and_ratio(
+        b, nu if with_ratio and e > 0.0 else None
+    )
+    vals["res_vortdet"] = _vortex_det(b)
+    vals["res_isometry"] = _isometry(b)
     return vals

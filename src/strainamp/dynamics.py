@@ -17,16 +17,17 @@ import numpy as np
 
 from . import _kernels
 from . import diagnostics as diag
-from .fields import SymTensorField, VectorField
+from .fields import SYM_WEIGHTS, SymTensorField, VectorField
 from .grid import GridSpec, irfft_raw as _irfft_raw, rfft_raw as _rfft_raw
 from .operators import (
     _as_spectral,
+    _div_sym_raw,
     _leray_raw,
     _strain_project_raw,
+    _strain_triple,
     _sym_grad_raw,
+    _sym_outer_raw,
     _velocity_raw,
-    advection_term,
-    omega_outer,
     s_squared,
     strain_project,
     velocity_of,
@@ -153,42 +154,21 @@ def _nonlin_model(S: SymTensorField) -> SymTensorField:
 
 
 def _nonlin_full(S: SymTensorField) -> SymTensorField:
-    """-P_st((u.grad)S + S^2 + omega x omega / 4) with u, omega recovered from S."""
+    """-P_st((u.grad)S + S^2 + omega x omega / 4) with u, omega recovered from S
+    (velocity_of checks the strain-space residual on every stage); the triple
+    is summed in real space, so one 6-component forward transform per stage."""
     g = S.grid
     u = velocity_of(S)
-    w = vorticity_of(u)
-    adv = advection_term(u, S)
-    s2 = s_squared(S)
-    oo = omega_outer(w)
-    combo = adv.data + s2.data + 0.25 * oo.data
-    return SymTensorField(g, -_strain_project_raw(g, combo))
+    combo = _strain_triple(S, u, vorticity_of(u))
+    return SymTensorField(g, -_strain_project_raw(g, combo(1.0, 1.0, 0.25)))
 
 
 def _nonlin_velocity(u: VectorField) -> VectorField:
     """-P_df div(u x u), pseudo-spectral and dealiased."""
     g = u.grid
-    u_re = u.real_samples()
-    prod = np.stack(
-        [
-            u_re[0] * u_re[0],
-            u_re[0] * u_re[1],
-            u_re[0] * u_re[2],
-            u_re[1] * u_re[1],
-            u_re[1] * u_re[2],
-            u_re[2] * u_re[2],
-        ]
-    )
-    th = _rfft_raw(g, prod)
+    th = _rfft_raw(g, _sym_outer_raw(u.real_samples()))
     th = np.where(g.dealias_mask, th, 0.0)
-    kx, ky, kz = g.kd
-    div = np.stack(
-        [
-            1j * (kx * th[0] + ky * th[1] + kz * th[2]),
-            1j * (kx * th[1] + ky * th[3] + kz * th[4]),
-            1j * (kx * th[2] + ky * th[4] + kz * th[5]),
-        ]
-    )
-    return VectorField(g, -_leray_raw(g, div))
+    return VectorField(g, -_leray_raw(g, _div_sym_raw(g, th)))
 
 
 def model_rhs(S: SymTensorField, nu: float) -> SymTensorField:
@@ -281,7 +261,8 @@ def cfl_dt(state: StrainState) -> float:
         s_inf = float(np.sqrt(_kernels._max_frobenius_sq(s_re.reshape(6, -1))))
         u_inf = float(np.sqrt(_kernels._max_vector_sq(u_re.reshape(3, -1))))
     else:
-        s_inf = float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * _W6, s_re))))
+        w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
+        s_inf = float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * w6, s_re))))
         u_inf = float(np.sqrt(np.max(np.sum(u_re * u_re, axis=0))))
     return min(
         p.dt_max,
@@ -290,13 +271,11 @@ def cfl_dt(state: StrainState) -> float:
     )
 
 
-_W6 = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0]).reshape(6, 1, 1, 1)
-
-
 def _enstrophy_and_tail(S: SymTensorField) -> tuple[float, float]:
     """Total enstrophy and the fraction held in the top 1/8 of retained shells."""
     g = S.grid
-    power = np.sum(_W6 * (S.data.real**2 + S.data.imag**2), axis=0) * g.hermitian_weight
+    w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
+    power = np.sum(w6 * (S.data.real**2 + S.data.imag**2), axis=0) * g.hermitian_weight
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0, 0.0
@@ -358,11 +337,7 @@ def run(
             for q in diag.Q_VALUES:
                 if math.isinf(diag.p_exponent(q)):
                     accums[q] = norms[q]
-        residuals = {
-            "res_orth": vals["res_orth"],
-            "res_vortdet": vals["res_vortdet"],
-            "res_isometry": vals["res_isometry"],
-        }
+        residuals = {k: vals[k] for k in ("res_orth", "res_vortdet", "res_isometry")}
         samples.append((st.t, vals["E"], vals["H1"], vals["detS"]))
         if len(samples) >= 3:
             # lagged one sample: three-point dE/dt centered on the previous record

@@ -15,12 +15,14 @@ _AXES = (-3, -2, -1)
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the STRAINAMP_THREADS env var."""
+    """Worker count for FFT calls, capped by STRAINAMP_THREADS (an integer >= 1)."""
     cap = os.environ.get("STRAINAMP_THREADS")
     avail = os.cpu_count() or 1
     if cap is None:
         return avail
-    return max(1, min(int(cap), avail))
+    if not (cap.strip().isdecimal() and int(cap) >= 1):
+        raise ValueError(f"STRAINAMP_THREADS must be an integer >= 1, got {cap!r}")
+    return min(int(cap), avail)
 
 
 def rfft_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:

@@ -192,35 +192,56 @@ def strain_project(M: SymTensorField) -> SymTensorField:
 # -- pointwise nonlinear products ------------------------------------------
 
 
-def _sym_square_raw(s: np.ndarray) -> np.ndarray:
-    """Pointwise matrix square of a real 6-component symmetric tensor."""
-    return _kernels.sym_square(s)
+_sym_square_raw = _kernels.sym_square  # pointwise S^2 of real 6-component samples
+
+
+def _sym_outer_raw(v: np.ndarray) -> np.ndarray:
+    """Pointwise symmetric outer product v_i v_j of a real 3-component vector."""
+    return np.stack([v[i] * v[j] for (i, j) in SYM_PAIRS])
+
+
+def _advection_raw(grid: GridSpec, sh: np.ndarray, u_re: np.ndarray) -> np.ndarray:
+    """Real samples of (u . grad) S from spectral S and real u."""
+    acc = np.zeros((6,) + grid.real_shape)
+    for a in range(3):
+        acc += u_re[a] * _irfft_raw(grid, 1j * grid.kd[a] * sh)
+    return acc
+
+
+def _strain_triple(S: SymTensorField, u: VectorField, w: VectorField):
+    """Build (u.grad)S, S^2, omega x omega in real space from spectral S, u, w;
+    return combo(a, b, c), the dealiased transform of a (u.grad)S + b S^2 +
+    c omega x omega, at one 6-component forward transform per call."""
+    grid = S.grid
+    adv = _advection_raw(grid, S.data, u.real_samples())
+    s2 = _sym_square_raw(S.real_samples())
+    oo = _sym_outer_raw(w.real_samples())
+
+    def combo(a: float, b: float, c: float) -> np.ndarray:
+        m = a * adv
+        m += b * s2
+        m += c * oo
+        return _rfft_dealias_raw(grid, m)
+
+    return combo
 
 
 def s_squared(S: SymTensorField) -> SymTensorField:
     """Pointwise S^2 computed in real space, dealiased in spectral space."""
     g = S.grid
-    prod = _sym_square_raw(S.real_samples())
-    return SymTensorField(g, _rfft_dealias_raw(g, prod))
+    return SymTensorField(g, _rfft_dealias_raw(g, _sym_square_raw(S.real_samples())))
 
 
 def omega_outer(omega: VectorField) -> SymTensorField:
     """Pointwise outer product omega_i omega_j, dealiased."""
     g = omega.grid
-    w = omega.real_samples()
-    prod = np.stack([w[i] * w[j] for (i, j) in SYM_PAIRS])
-    return SymTensorField(g, _rfft_dealias_raw(g, prod))
+    return SymTensorField(g, _rfft_dealias_raw(g, _sym_outer_raw(omega.real_samples())))
 
 
 def advection_term(u: VectorField, S: SymTensorField) -> SymTensorField:
     """(u . grad) S: spectral derivatives of S, products in real space, dealiased."""
     g = S.grid
-    sh = _as_spectral(S).data
-    u_re = u.real_samples()
-    acc = np.zeros((6,) + g.real_shape)
-    for a in range(3):
-        ds = _irfft_raw(g, 1j * g.kd[a] * sh)
-        acc += u_re[a] * ds
+    acc = _advection_raw(g, _as_spectral(S).data, u.real_samples())
     return SymTensorField(g, _rfft_dealias_raw(g, acc))
 
 

@@ -308,3 +308,32 @@ class TestThreadCap:
         import os
 
         assert fft_workers() == os.cpu_count()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "", "\u00b2"])
+    def test_invalid_value_named(self, monkeypatch, value):
+        from strainamp.grid import fft_workers
+
+        monkeypatch.setenv("STRAINAMP_THREADS", value)
+        with pytest.raises(ValueError, match=f"STRAINAMP_THREADS.*{value!r}"):
+            fft_workers()
+
+    def test_invalid_value_run_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STRAINAMP_THREADS", "abc")
+        cfgfile = write_config(
+            tmp_path, "kind = colliding_jets\nequation = model\nn = 16\nt_end = 0\n"
+        )
+        assert cli.main(["run", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert "STRAINAMP_THREADS" in err and "'abc'" in err
+
+    def test_invalid_value_sweep_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STRAINAMP_THREADS", "abc")
+        cfgfile = write_config(
+            tmp_path,
+            "kind = colliding_jets\nequation = model\nn = 16\n"
+            "amplitude = 1:1:2\nt_end = 0\n",
+        )
+        assert cli.main(["sweep", cfgfile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "STRAINAMP_THREADS" in captured.err and "'abc'" in captured.err

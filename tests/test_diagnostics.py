@@ -276,6 +276,53 @@ class TestPerturbativeRatio:
         assert a == b and np.isfinite(a)
 
 
+class TestSampleFunctionals:
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_bundle_matches_public_path(self, seed):
+        g = GridSpec(24, 16.0)
+        S = random_strain(g, seed, amplitude=3.0)
+        nu = 0.7
+        vals = diag.sample_functionals(S, nu, True)
+        assert vals["res_orth"] == diag.orthogonality_residual(S)
+        assert vals["res_vortdet"] == diag.vortex_det_residual(S)
+        assert vals["res_isometry"] == diag.isometry_residual(S)
+        assert vals["ratio"] == diag.perturbative_ratio(S, nu)
+        assert vals["H1"] == diag.hs_norm_sq(S, 1.0)
+        assert vals["detS"] == diag.det_integral(S)
+        assert vals["trS3"] == diag.trace_cubed_integral(S)
+        assert vals["f"] == diag.f_of(S, nu)
+        assert vals["g"] == diag.g_of(S, nu)
+        assert vals["lam2_norms"] == diag.lambda_lq_norms(S)
+
+    def test_one_residual_check_per_sample(self, monkeypatch):
+        g = GridSpec(16, 16.0)
+        S = random_strain(g, 2)
+        calls = []
+        orig = diag.velocity_of
+        monkeypatch.setattr(
+            diag, "velocity_of", lambda *a, **k: calls.append(1) or orig(*a, **k)
+        )
+        diag.sample_functionals(S, 1.0, True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("with_ratio, fwd", [(False, 6), (True, 12)])
+    def test_transform_count(self, fft_counts, with_ratio, fwd):
+        # inverse: S, u, omega and the three derivatives of S in (u.grad)S
+        g = GridSpec(16, 16.0)
+        S = random_strain(g, 4)
+        fft_counts.update(fwd=0, inv=0)
+        diag.sample_functionals(S, 1.0, with_ratio)
+        assert fft_counts == {"fwd": fwd, "inv": 6 + 3 + 3 + 18}
+
+    def test_zero_field(self):
+        g = GridSpec(16, 16.0)
+        S = SymTensorField(g, np.zeros((6,) + g.spectral_shape, dtype=complex))
+        vals = diag.sample_functionals(S, 1.0, True)
+        assert vals["res_orth"] == 0.0
+        assert vals["ratio"] is None and vals["g"] is None
+        assert vals["E"] == 0.0 and vals["f"] == 0.0
+
+
 class TestEnstrophyIdentityResidual:
     def test_requires_three_samples(self):
         with pytest.raises(ValueError):

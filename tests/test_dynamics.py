@@ -46,6 +46,19 @@ def rel_l2(a, b):
     )
 
 
+class TestTransformCounts:
+    # one step from a fresh state: every stage transforms its own samples
+    @pytest.mark.parametrize(
+        "equation, fwd, inv",
+        [("model", 24, 24), ("full_strain", 24, 120), ("velocity_ns", 24, 12)],
+    )
+    def test_step(self, fft_counts, equation, fwd, inv):
+        st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation=equation)
+        fft_counts.update(fwd=0, inv=0)
+        step(st, 1e-3)
+        assert fft_counts == {"fwd": fwd, "inv": inv}
+
+
 class TestSimParams:
     def test_validation(self):
         with pytest.raises(ValueError):
