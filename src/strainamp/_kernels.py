@@ -102,8 +102,6 @@ def _strain_project_kernel(m, kdx, kdy, kdz, out) -> None:
 
 def strain_project_apply(grid, mh: np.ndarray) -> np.ndarray:
     """P_st in one pass: sym_grad(-2 (-lap)^{-1} P_df div M), kappa wavenumbers."""
-    if not HAVE_NUMBA:
-        return None  # caller falls back to the numpy composition
     out = np.empty_like(mh)
     _strain_project_kernel(mh, grid.kd1, grid.kd1, grid.kd1_half, out)
     return out

@@ -114,6 +114,21 @@ _NUMERIC_KEYS = (
 )
 
 
+def _check_record(obj):
+    """Return one parsed line, or raise ValueError naming what `report` lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    rep = bool(obj.get("report"))
+    for key in ("outcome", "t_outcome") if rep else ("t", "E"):
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
+    for key in ("t_outcome", "r0") if rep else _NUMERIC_KEYS:
+        val = obj.get(key, 0.0)
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ValueError(f"key {key!r} is not a number: {val!r}")
+    return obj
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.file) as fh:
@@ -128,8 +143,8 @@ def cmd_report(args) -> int:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = _check_record(json.loads(line))
+        except ValueError as exc:  # json.JSONDecodeError included
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if obj.get("report"):

@@ -19,9 +19,10 @@ from .fields import (
 from .operators import (
     _as_real,
     _as_spectral,
+    _lamb_strain_raw,
     _strain_project_raw,
-    _strain_triple,
     lambda_fields,
+    s_squared,
     velocity_of,
     vorticity_of,
 )
@@ -139,7 +140,7 @@ def _det_raw(s: np.ndarray) -> np.ndarray:
 def _tr3_raw(s: np.ndarray) -> np.ndarray:
     xx, xy, xz, yy, yz, zz = s
     return (
-        xx**3 + yy**3 + zz**3
+        xx * xx * xx + yy * yy * yy + zz * zz * zz
         + 3.0 * (xy * xy * (xx + yy) + xz * xz * (xx + zz) + yz * yz * (yy + zz))
         + 6.0 * xy * xz * yz
     )
@@ -235,19 +236,22 @@ def isometry_residual(S: SymTensorField) -> float:
 
 def _orth_and_ratio(b: _Sample, nu: float | None = None) -> tuple[float, float | None]:
     """res_orth of the dropped term D = P_st((u.grad)S + S^2/3 + omega x omega/4)
-    and, if nu is given, the ratio ||D|| / ||retained||, from one triple;
-    (0.0, None) for the zero field."""
+    and, if nu is given, the ratio ||D|| / ||retained||; (0.0, None) for the
+    zero field. By the Lamb-vector identity A = sym grad P_df(omega x u) equals
+    P_st((u.grad)S + S^2 + omega x omega/4) (exact while 3 cutoff <= n + 2), so
+    with B = P_st(S^2), D = A - 2B/3 and the retained P_st part is A/2 + B/3."""
     sf, g = b.S, b.S.grid
     ns = math.sqrt(l2_norm_sq(sf))
     if ns == 0.0:
         return 0.0, None
-    combo = _strain_triple(sf, b.u, b.w)
-    term = SymTensorField(g, _strain_project_raw(g, combo(1.0, 1.0 / 3.0, 0.25)))
+    A = _lamb_strain_raw(g, b.u, b.w)
+    B = _strain_project_raw(g, s_squared(SymTensorField(g, b.s_re)).data)
+    term = SymTensorField(g, A - (2.0 / 3.0) * B)
     nt = math.sqrt(l2_norm_sq(term))
     orth = abs(l2_inner(term, sf)) / (nt * ns + _EPS)
     if nu is None:
         return orth, None
-    kept = _strain_project_raw(g, combo(0.5, 5.0 / 6.0, 0.125))
+    kept = 0.5 * A + B / 3.0
     den = math.sqrt(l2_norm_sq(SymTensorField(g, -nu * laplacian(sf).data + kept)))
     return orth, (nt / den if den != 0.0 else math.inf)
 
@@ -282,8 +286,8 @@ def perturbative_ratio(S: SymTensorField, nu: float) -> float:
     ratio = ||P_st((u.grad)S + S^2/3 + omega x omega/4)||
           / ||-nu lap S + P_st((u.grad)S/2 + 5 S^2/6 + omega x omega/8)||
 
-    The numerator is the dropped term of res_orth; both combinations come
-    from one real-space triple at one forward transform each."""
+    The numerator is the dropped term of res_orth; both norms are evaluated
+    from the Lamb vector omega x u and S^2 (exact while 3 cutoff <= n + 2)."""
     sf = _as_spectral(S)
     if l2_norm_sq(sf) == 0.0:
         raise ValueError("ratio is undefined for the zero field")
@@ -421,7 +425,7 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
     One derived-field bundle per call, dropped on return: S's real samples,
     one velocity_of (so one strain-space residual check), omega, and int
     det(S) for detS, f and res_vortdet. H1 serves the record and f; res_orth
-    and the ratio share one real-space triple."""
+    and the ratio share one Lamb-vector term and one P_st(S^2)."""
     lam2_norms = lambda_lq_norms(S)  # before the bundle, to keep the peak low
     b = _Sample(S)
     sf = b.S

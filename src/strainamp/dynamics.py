@@ -22,9 +22,9 @@ from .grid import GridSpec, irfft_raw as _irfft_raw, rfft_raw as _rfft_raw
 from .operators import (
     _as_spectral,
     _div_sym_raw,
+    _lamb_strain_raw,
     _leray_raw,
     _strain_project_raw,
-    _strain_triple,
     _sym_grad_raw,
     _sym_outer_raw,
     _velocity_raw,
@@ -154,13 +154,13 @@ def _nonlin_model(S: SymTensorField) -> SymTensorField:
 
 
 def _nonlin_full(S: SymTensorField) -> SymTensorField:
-    """-P_st((u.grad)S + S^2 + omega x omega / 4) with u, omega recovered from S
-    (velocity_of checks the strain-space residual on every stage); the triple
-    is summed in real space, so one 6-component forward transform per stage."""
+    """-P_st((u.grad)S + S^2 + omega x omega / 4), evaluated as -sym grad
+    P_df(omega x u) with u, omega recovered from S (velocity_of checks the
+    strain-space residual on every stage). The two forms agree to roundoff
+    while 3 cutoff <= n + 2; on more aliased grids the rotational form is used."""
     g = S.grid
     u = velocity_of(S)
-    combo = _strain_triple(S, u, vorticity_of(u))
-    return SymTensorField(g, -_strain_project_raw(g, combo(1.0, 1.0, 0.25)))
+    return SymTensorField(g, -_lamb_strain_raw(g, u, vorticity_of(u)))
 
 
 def _nonlin_velocity(u: VectorField) -> VectorField:

@@ -208,22 +208,17 @@ def _advection_raw(grid: GridSpec, sh: np.ndarray, u_re: np.ndarray) -> np.ndarr
     return acc
 
 
-def _strain_triple(S: SymTensorField, u: VectorField, w: VectorField):
-    """Build (u.grad)S, S^2, omega x omega in real space from spectral S, u, w;
-    return combo(a, b, c), the dealiased transform of a (u.grad)S + b S^2 +
-    c omega x omega, at one 6-component forward transform per call."""
-    grid = S.grid
-    adv = _advection_raw(grid, S.data, u.real_samples())
-    s2 = _sym_square_raw(S.real_samples())
-    oo = _sym_outer_raw(w.real_samples())
+def _lamb_strain_raw(grid: GridSpec, u: VectorField, w: VectorField) -> np.ndarray:
+    """sym grad P_df(omega x u), dealiased, from spectral u and omega = curl u.
 
-    def combo(a: float, b: float, c: float) -> np.ndarray:
-        m = a * adv
-        m += b * s2
-        m += c * oo
-        return _rfft_dealias_raw(grid, m)
-
-    return combo
+    For S = sym grad u, (u.grad)S + S^2 + omega x omega/4 = sym grad(omega x u)
+    + Hess(|u|^2/2) + |omega|^2 I/4, and P_st annihilates Hessians and
+    multiples of I, so this is P_st((u.grad)S + S^2 + omega x omega/4) at 3
+    products and one 3-component forward transform. Exact to roundoff while
+    3 cutoff <= n + 2 (the 2/3 rule); beyond, both forms alias differently."""
+    ur, wr = u.real_samples(), w.real_samples()
+    lamb = np.stack([wr[i] * ur[j] - wr[j] * ur[i] for i, j in ((1, 2), (2, 0), (0, 1))])
+    return _sym_grad_raw(grid, _leray_raw(grid, _rfft_dealias_raw(grid, lamb)))
 
 
 def s_squared(S: SymTensorField) -> SymTensorField:

@@ -136,13 +136,8 @@ def _check_projection_selfadjoint(grid: GridSpec, rng) -> float:
     return _rel(a, b)
 
 
-def _check_annihilate_hessian(grid: GridSpec) -> float:
-    h = hessian_probe(grid, "hessian")
-    return float(np.sqrt(l2_norm_sq(ops.strain_project(h)) / l2_norm_sq(h)))
-
-
-def _check_annihilate_identity(grid: GridSpec) -> float:
-    h = hessian_probe(grid, "identity")
+def _check_annihilate(grid: GridSpec, kind: str) -> float:
+    h = hessian_probe(grid, kind)
     return float(np.sqrt(l2_norm_sq(ops.strain_project(h)) / l2_norm_sq(h)))
 
 
@@ -155,34 +150,26 @@ def _check_fixes_strains(grid: GridSpec, seed: int) -> float:
 def _check_inversion(grid: GridSpec, seed: int) -> float:
     u = random_solenoidal(grid, seed)
     s = ops.strain_of(u)
-    back = ops.strain_of(ops.velocity_of(s))
-    r1 = np.sqrt(l2_norm_sq(SymTensorField(grid, back.data - s.data)) / l2_norm_sq(s))
     u2 = ops.velocity_of(s)
+    back = ops.strain_of(u2)
+    r1 = np.sqrt(l2_norm_sq(SymTensorField(grid, back.data - s.data)) / l2_norm_sq(s))
     r2 = np.sqrt(l2_norm_sq(VectorField(grid, u2.data - u.data)) / l2_norm_sq(u))
     return float(max(r1, r2))
 
 
 def _check_trace_cubed_zero(grid: GridSpec, seed: int) -> float:
     u = random_solenoidal(grid, seed)
-    uf = u
-    g = grid
     # grad u in real space via spectral derivatives
-    grads = []
-    for j in range(3):
-        comp = uf.data[j]
-        for a in range(3):
-            grads.append((a, j, ops._irfft_raw(g, 1j * g.kd[a] * comp)))
-    gu = {(a, j): arr for a, j, arr in grads}
-    tr3 = np.zeros(g.real_shape)
+    gu = {(a, j): ops._irfft_raw(grid, 1j * grid.kd[a] * u.data[j])
+          for j in range(3) for a in range(3)}
+    tr3 = np.zeros(grid.real_shape)
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 tr3 += gu[(i, j)] * gu[(j, k)] * gu[(k, i)]
-    val = float(g.cell_volume * np.sum(tr3))
-    mag = np.zeros(g.real_shape)
-    for (a, j), arr in gu.items():
-        mag += arr**2
-    l3 = float((g.cell_volume * np.sum(mag**1.5)))
+    val = float(grid.cell_volume * np.sum(tr3))
+    mag = sum(arr**2 for arr in gu.values())
+    l3 = float((grid.cell_volume * np.sum(mag**1.5)))
     return abs(val) / max(l3, 1e-30)
 
 
@@ -243,8 +230,8 @@ def run_checks(level: str = "quick") -> list[CheckResult]:
         CheckResult("parseval", _check_parseval(grid, rng), 1e-12),
         CheckResult("projection_idempotent", _check_projection_idempotent(grid, rng), 1e-10),
         CheckResult("projection_selfadjoint", _check_projection_selfadjoint(grid, rng), 1e-10),
-        CheckResult("projection_annihilates_hessian", _check_annihilate_hessian(grid), 1e-10),
-        CheckResult("projection_annihilates_identity", _check_annihilate_identity(grid), 1e-10),
+        CheckResult("projection_annihilates_hessian", _check_annihilate(grid, "hessian"), 1e-10),
+        CheckResult("projection_annihilates_identity", _check_annihilate(grid, "identity"), 1e-10),
         CheckResult(
             "projection_fixes_strains",
             max(_check_fixes_strains(grid, s) for s in seeds),

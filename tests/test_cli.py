@@ -263,6 +263,24 @@ class TestCmdReport:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            ('{"E": 1.0}', "'t'"),
+            ('{"t": 0.1, "E": "x"}', "'E'"),
+        ],
+        ids=["non_object", "missing_t", "non_numeric"],
+    )
+    def test_malformed_record_named(self, tmp_path, capsys, line, named):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"t": 0.0, "E": 1.0}\n' + line + "\n")
+        rc = cli.main(["report", str(p)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.err.startswith("error: line 2: ") and named in out.err
+        assert out.out == ""
+
     def test_small_data_verdict(self, tmp_path, capsys):
         g = GridSpec(48, 16.0)
         S1 = strain_of(colliding_jets(g, 1.0))

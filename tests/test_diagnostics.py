@@ -305,14 +305,50 @@ class TestSampleFunctionals:
         diag.sample_functionals(S, 1.0, True)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("with_ratio, fwd", [(False, 6), (True, 12)])
-    def test_transform_count(self, fft_counts, with_ratio, fwd):
-        # inverse: S, u, omega and the three derivatives of S in (u.grad)S
+    @pytest.mark.parametrize("with_ratio", [False, True])
+    def test_transform_count(self, fft_counts, with_ratio):
+        # forward: omega x u and S^2; inverse: S, u, omega
         g = GridSpec(16, 16.0)
         S = random_strain(g, 4)
         fft_counts.update(fwd=0, inv=0)
         diag.sample_functionals(S, 1.0, with_ratio)
-        assert fft_counts == {"fwd": fwd, "inv": 6 + 3 + 3 + 18}
+        assert fft_counts == {"fwd": 3 + 6, "inv": 6 + 3 + 3}
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_lamb_form_matches_triple_form(self, monkeypatch, seed):
+        from strainamp.operators import (
+            advection_term,
+            omega_outer,
+            s_squared,
+            strain_project,
+            velocity_of,
+        )
+        from strainamp.spectral import laplacian
+
+        g = GridSpec(32, 16.0)
+        S = random_strain(g, seed, amplitude=3.0)
+        nu = 0.3
+        u = velocity_of(S)
+        adv, s2 = advection_term(u, S).data, s_squared(S).data
+        oo = omega_outer(vorticity_of(u)).data
+
+        def p_st(a, b, c):
+            return strain_project(SymTensorField(g, a * adv + b * s2 + c * oo)).data
+
+        dropped = p_st(1.0, 1.0 / 3.0, 0.25)
+        kept = -nu * laplacian(S).data + p_st(0.5, 5.0 / 6.0, 0.125)
+        ratio = math.sqrt(
+            l2_norm_sq(SymTensorField(g, dropped))
+            / l2_norm_sq(SymTensorField(g, kept))
+        )
+        seen = []  # res_orth's dropped term is the first argument of l2_inner
+        orig = diag.l2_inner
+        monkeypatch.setattr(
+            diag, "l2_inner", lambda a, b: seen.append(a.data) or orig(a, b)
+        )
+        vals = diag.sample_functionals(S, nu, True)
+        assert np.max(np.abs(seen[0] - dropped)) <= 1e-12 * np.max(np.abs(dropped))
+        assert vals["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
     def test_zero_field(self):
         g = GridSpec(16, 16.0)

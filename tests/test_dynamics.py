@@ -50,13 +50,44 @@ class TestTransformCounts:
     # one step from a fresh state: every stage transforms its own samples
     @pytest.mark.parametrize(
         "equation, fwd, inv",
-        [("model", 24, 24), ("full_strain", 24, 120), ("velocity_ns", 24, 12)],
+        [("model", 24, 24), ("full_strain", 12, 24), ("velocity_ns", 24, 12)],
     )
     def test_step(self, fft_counts, equation, fwd, inv):
         st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation=equation)
         fft_counts.update(fwd=0, inv=0)
         step(st, 1e-3)
         assert fft_counts == {"fwd": fwd, "inv": inv}
+
+
+class TestLambForm:
+    # the stage -sym grad P_df(omega x u) against the triple form built from
+    # the public operators; exact to roundoff while 3 * cutoff <= n + 2
+    @pytest.mark.parametrize(
+        "n, seed, fraction",
+        [(16, 1, 2 / 3), (16, 2, 2 / 3), (32, 1, 2 / 3), (32, 2, 2 / 3), (32, 3, 0.7)],
+    )
+    def test_matches_triple_form(self, n, seed, fraction):
+        from strainamp.operators import (
+            advection_term,
+            omega_outer,
+            s_squared,
+            strain_project,
+        )
+
+        g = GridSpec(n, 16.0, fraction)
+        S = make_state(
+            strain_of(random_solenoidal(g, seed, amplitude=3.0)), 0.0, params()
+        ).S
+        u = velocity_of(S)
+        triple = SymTensorField(
+            g,
+            advection_term(u, S).data
+            + s_squared(S).data
+            + 0.25 * omega_outer(vorticity_of(u)).data,
+        )
+        ref = -strain_project(triple).data
+        got = dynamics._nonlin_full(S).data
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSimParams:
