@@ -87,10 +87,12 @@ def cmd_sweep(args) -> int:
 
     def one(point):
         m, nu = point
-        cfg = RunConfig(**{**base.__dict__, "amplitude": m, "nu": nu})
-        state = _build_state(cfg)
-        report = run(state)
-        return (m, nu, report.f0, report.g0, report.r0, report.outcome, report.t_outcome)
+        try:
+            cfg = RunConfig(**{**base.__dict__, "amplitude": m, "nu": nu})
+            report = run(_build_state(cfg))
+        except ValueError as exc:  # ConfigError included: one bad point, not the sweep
+            return m, nu, None, str(exc)
+        return m, nu, report, None
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         rows = list(pool.map(one, points))
@@ -98,11 +100,22 @@ def cmd_sweep(args) -> int:
     out = sys.stdout if base.output_path == "-" else open(base.output_path, "w")
     try:
         out.write("m,nu,f0,g0,r0,outcome,t_outcome\n")
-        for m, nu, f0, g0, r0, outcome, t_out in rows:
-            out.write(f"{m!r},{nu!r},{f0!r},{g0!r},{r0!r},{outcome},{t_out!r}\n")
+        for m, nu, rep, _ in rows:
+            if rep is None:
+                out.write(f"{m!r},{nu!r},,,,error,\n")
+            else:
+                out.write(
+                    f"{m!r},{nu!r},{rep.f0!r},{rep.g0!r},{rep.r0!r},"
+                    f"{rep.outcome},{rep.t_outcome!r}\n"
+                )
     finally:
         if out is not sys.stdout:
             out.close()
+    errors = [(m, nu, msg) for m, nu, rep, msg in rows if rep is None]
+    for m, nu, msg in errors:
+        print(f"error: point m={m!r}, nu={nu!r}: {msg}", file=sys.stderr)
+    if errors:
+        return EXIT_CONFIG
     return EXIT_OK
 
 

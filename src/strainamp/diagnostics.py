@@ -204,7 +204,7 @@ def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
 class _Sample:
     """Fields derived from one strain sample, built once: S spectral and real,
     int det(S), u = velocity_of(S) (one strain-space residual check) and
-    omega; u and omega memoize their real samples."""
+    omega; u and omega memoize their real samples, and hs() the norms of S."""
 
     def __init__(self, S: SymTensorField) -> None:
         self.S = _as_spectral(S)
@@ -212,13 +212,21 @@ class _Sample:
         self.det = det_integral(S)
         self.u = velocity_of(self.S)
         self.w = vorticity_of(self.u)
+        self._hs: dict[float, float] = {}
+
+    def hs(self, alpha: float) -> float:
+        """hs_norm_sq(S, alpha), computed once per alpha (E, K and H1 are
+        alpha = 0, -1 and 1)."""
+        if alpha not in self._hs:
+            self._hs[alpha] = hs_norm_sq(self.S, alpha)
+        return self._hs[alpha]
 
 
 def _isometry(b: _Sample) -> float:
     worst = 0.0
     for alpha in (-1.0, 0.0, 1.0):
         vals = (
-            hs_norm_sq(b.S, alpha),
+            b.hs(alpha),
             0.5 * hs_norm_sq(b.w, alpha),
             0.5 * grad_hs_norm_sq(b.u, alpha),
         )
@@ -241,7 +249,7 @@ def _orth_and_ratio(b: _Sample, nu: float | None = None) -> tuple[float, float |
     P_st((u.grad)S + S^2 + omega x omega/4) (exact while 3 cutoff <= n + 2), so
     with B = P_st(S^2), D = A - 2B/3 and the retained P_st part is A/2 + B/3."""
     sf, g = b.S, b.S.grid
-    ns = math.sqrt(l2_norm_sq(sf))
+    ns = math.sqrt(b.hs(0.0))
     if ns == 0.0:
         return 0.0, None
     A = _lamb_strain_raw(g, b.u, b.w)
@@ -271,8 +279,7 @@ def _vortex_det(b: _Sample) -> float:
     lhs = pair + 4.0 * b.det
     wmag2 = wdat[0] ** 2 + wdat[1] ** 2 + wdat[2] ** 2
     wl4_sq = float(np.sqrt(g.cell_volume * np.sum(wmag2**2)))
-    ns = math.sqrt(l2_norm_sq(SymTensorField(g, s_re)))
-    return abs(lhs) / (ns * wl4_sq + _EPS)
+    return abs(lhs) / (math.sqrt(b.hs(0.0)) * wl4_sq + _EPS)
 
 
 def vortex_det_residual(S: SymTensorField) -> float:
@@ -424,17 +431,18 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
 
     One derived-field bundle per call, dropped on return: S's real samples,
     one velocity_of (so one strain-space residual check), omega, and int
-    det(S) for detS, f and res_vortdet. H1 serves the record and f; res_orth
-    and the ratio share one Lamb-vector term and one P_st(S^2)."""
+    det(S) for detS, f and res_vortdet. The norms of S are taken once: E, K
+    and H1 also serve the isometry check, and E gives ||S|| to res_orth and
+    res_vortdet. res_orth and the ratio share one Lamb-vector term and one
+    P_st(S^2)."""
     lam2_norms = lambda_lq_norms(S)  # before the bundle, to keep the peak low
     b = _Sample(S)
-    sf = b.S
-    e = enstrophy(sf)
-    h1 = hs_norm_sq(sf, 1.0)
+    e = b.hs(0.0)
+    h1 = b.hs(1.0)
     f = -3.0 * nu * h1 - 4.0 * b.det
     vals = {
         "E": e,
-        "K": energy(sf),
+        "K": b.hs(-1.0),
         "H1": h1,
         "detS": b.det,
         "trS3": trace_cubed_integral(S),

@@ -4,6 +4,13 @@ The linear diffusion is applied exactly through the heat multiplier; the
 nonlinearity is advanced with classical four-stage Runge-Kutta on the
 integrating-factor variable, giving O(dt^5) local error. The state is
 re-projected onto the strain space after every step.
+
+A state is dealiased (make_state and read_checkpoint ensure it), and every
+right-hand side is dealiased, so a step never leaves the 2/3-rule box of
+retained modes. `step` therefore packs the state once into that dense box
+(GridSpec.retained, about a quarter of the r2c layout), runs the stages,
+their projections and checks there, and scatters to the full layout only
+for inverse transforms and for the result.
 """
 
 from __future__ import annotations
@@ -18,17 +25,20 @@ import numpy as np
 from . import _kernels
 from . import diagnostics as diag
 from .fields import SYM_WEIGHTS, SymTensorField, VectorField
-from .grid import GridSpec, irfft_raw as _irfft_raw, rfft_raw as _rfft_raw
+from .grid import GridSpec, irfft_retained_raw as _irfft_box
 from .operators import (
     _as_spectral,
+    _curl_raw,
     _div_sym_raw,
+    _lamb_strain_box,
     _lamb_strain_raw,
     _leray_raw,
+    _s_squared_box,
     _strain_project_raw,
     _sym_grad_raw,
-    _sym_outer_raw,
+    _sym_outer_box,
+    _velocity_checked_raw,
     _velocity_raw,
-    s_squared,
     strain_project,
     velocity_of,
     vorticity_of,
@@ -144,36 +154,47 @@ def make_state(S: SymTensorField, t: float, params: SimParams) -> StrainState:
 
 
 # -- right-hand sides ---------------------------------------------------------
+#
+# Each nonlinearity is written once, on the retained box: it takes real
+# samples and returns the dealiased spectral result packed into
+# grid.retained. The full-layout forms below unpack it.
 
 
-def _nonlin_model(S: SymTensorField) -> SymTensorField:
-    """-2/3 P_st(S^2), the model-equation nonlinearity."""
-    g = S.grid
-    ph = s_squared(S)
-    return SymTensorField(g, -(2.0 / 3.0) * _strain_project_raw(g, ph.data))
+def _model_stage(g: GridSpec, s_re: np.ndarray) -> np.ndarray:
+    """-2/3 P_st(S^2) on the retained box, from real samples of S."""
+    r = g.retained
+    return -(2.0 / 3.0) * _strain_project_raw(r, _s_squared_box(g, s_re))
+
+
+def _full_stage(g: GridSpec, sh: np.ndarray) -> np.ndarray:
+    """-sym grad P_df(omega x u) for S packed on the retained box; u and
+    omega are recovered from S after the strain-space residual check."""
+    r = g.retained
+    uh = _velocity_checked_raw(r, sh)
+    return -_lamb_strain_box(g, _irfft_box(g, uh), _irfft_box(g, _curl_raw(r, uh)))
+
+
+def _velocity_stage(g: GridSpec, u_re: np.ndarray) -> np.ndarray:
+    """-P_df div(u x u) on the retained box, from real samples of u."""
+    r = g.retained
+    return -_leray_raw(r, _div_sym_raw(r, _sym_outer_box(g, u_re)))
 
 
 def _nonlin_full(S: SymTensorField) -> SymTensorField:
     """-P_st((u.grad)S + S^2 + omega x omega / 4), evaluated as -sym grad
     P_df(omega x u) with u, omega recovered from S (velocity_of checks the
-    strain-space residual on every stage). The two forms agree to roundoff
-    while 3 cutoff <= n + 2; on more aliased grids the rotational form is used."""
+    strain-space residual). The two forms agree to roundoff while
+    3 cutoff <= n + 2; on more aliased grids the rotational form is used."""
     g = S.grid
     u = velocity_of(S)
     return SymTensorField(g, -_lamb_strain_raw(g, u, vorticity_of(u)))
 
 
-def _nonlin_velocity(u: VectorField) -> VectorField:
-    """-P_df div(u x u), pseudo-spectral and dealiased."""
-    g = u.grid
-    th = _rfft_raw(g, _sym_outer_raw(u.real_samples()))
-    th = np.where(g.dealias_mask, th, 0.0)
-    return VectorField(g, -_leray_raw(g, _div_sym_raw(g, th)))
-
-
 def model_rhs(S: SymTensorField, nu: float) -> SymTensorField:
     """nu lap S - 2/3 P_st(S^2)."""
-    return SymTensorField(S.grid, nu * laplacian(S).data + _nonlin_model(S).data)
+    g = S.grid
+    nonlin = g.retained.unpack(_model_stage(g, S.real_samples()))
+    return SymTensorField(g, nu * laplacian(S).data + nonlin)
 
 
 def full_rhs(S: SymTensorField, nu: float) -> SymTensorField:
@@ -183,80 +204,102 @@ def full_rhs(S: SymTensorField, nu: float) -> SymTensorField:
 
 def velocity_rhs(u: VectorField, nu: float) -> VectorField:
     """nu lap u - P_df div(u x u)."""
-    return VectorField(u.grid, nu * laplacian(u).data + _nonlin_velocity(u).data)
+    g = u.grid
+    nonlin = g.retained.unpack(_velocity_stage(g, u.real_samples()))
+    return VectorField(g, nu * laplacian(u).data + nonlin)
 
 
 # -- integrating-factor RK4 ----------------------------------------------------
 
 
-def _ifrk4(x0, nonlin: Callable, nu: float, dt: float) -> np.ndarray:
+def _ifrk4(
+    xh: np.ndarray,
+    nonlin: Callable[[np.ndarray], np.ndarray],
+    e_half: np.ndarray,
+    dt: float,
+    n1: np.ndarray | None = None,
+) -> np.ndarray:
     """One classical RK4 step on the heat-transformed variable.
 
-    `x0` is a spectral field; `nonlin` maps a field of that type to the
-    spectral nonlinearity array. Stage fields are materialized so each
-    stage's real-space samples are transformed exactly once.
+    `xh` is a spectral array, `nonlin` maps a stage array to its spectral
+    nonlinearity and `e_half` is the heat multiplier over dt/2, all on one
+    layout; `n1` is the first stage's nonlinearity when already known.
     """
-    grid = x0.grid
-    make = type(x0)
-    e_half = np.exp(-(nu * dt / 2.0) * grid.k2)
-    xh = x0.data
-    n1 = nonlin(x0)
+    if n1 is None:
+        n1 = nonlin(xh)
     if _kernels.HAVE_NUMBA:
         flat = lambda a: a.reshape(a.shape[0], -1)
         eh = e_half.ravel()
         u2 = np.empty_like(xh)
         _kernels._rk_stage2(flat(xh), flat(n1), eh, dt / 2.0, flat(u2))
-        n2 = nonlin(make(grid, u2))
+        n2 = nonlin(u2)
         u3 = np.empty_like(xh)
         _kernels._rk_stage3(flat(xh), flat(n2), eh, dt / 2.0, flat(u3))
-        n3 = nonlin(make(grid, u3))
+        n3 = nonlin(u3)
         u4 = np.empty_like(xh)
         _kernels._rk_stage4(flat(xh), flat(n3), eh, dt, flat(u4))
-        n4 = nonlin(make(grid, u4))
+        n4 = nonlin(u4)
         out = np.empty_like(xh)
         _kernels._rk_final(
             flat(xh), flat(n1), flat(n2), flat(n3), flat(n4), eh, dt / 6.0, flat(out)
         )
         return out
     e_full = e_half * e_half
-    n2 = nonlin(make(grid, e_half * (xh + (dt / 2.0) * n1)))
-    n3 = nonlin(make(grid, e_half * xh + (dt / 2.0) * n2))
-    n4 = nonlin(make(grid, e_full * xh + dt * (e_half * n3)))
+    n2 = nonlin(e_half * (xh + (dt / 2.0) * n1))
+    n3 = nonlin(e_half * xh + (dt / 2.0) * n2)
+    n4 = nonlin(e_full * xh + dt * (e_half * n3))
     return e_full * xh + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
 def step(state: StrainState, dt: float) -> StrainState:
     """Advance one step of size dt; the result is re-projected onto the
-    strain space. Raises NonFiniteStateError on overflow."""
+    strain space. Raises NonFiniteStateError on overflow.
+
+    The state must be dealiased (as make_state, step and read_checkpoint
+    leave it): the stages run on the retained box only, so a state with
+    content outside it is refused with ValueError rather than truncated.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > state.params.dt_max:
         raise ValueError(f"dt {dt} exceeds dt_max {state.params.dt_max}")
     g = state.S.grid
-    nu = state.params.nu
+    r = g.retained
+    if not r.holds(state.S.data):
+        raise ValueError(
+            "state has modes outside the dealiased box; build the state with make_state"
+        )
+    sh = r.pack(state.S.data)
+    e_half = np.exp(-(state.params.nu * dt / 2.0) * r.k2)
     eq = state.params.equation
 
     if eq == "model":
-        new = _ifrk4(state.S, lambda s: _nonlin_model(s).data, nu, dt)
+        # the first stage reuses S's real samples (cfl_dt has memoized them)
+        n1 = _model_stage(g, state.S.real_samples())
+        new = _ifrk4(sh, lambda x: _model_stage(g, _irfft_box(g, x)), e_half, dt, n1)
     elif eq == "full_strain":
-        new = _ifrk4(state.S, lambda s: _nonlin_full(s).data, nu, dt)
+        new = _ifrk4(sh, lambda x: _full_stage(g, x), e_half, dt)
     else:  # velocity_ns: advance u, map back to the strain
-        u0 = VectorField(g, _velocity_raw(g, state.S.data))
-        u_new = _ifrk4(u0, lambda v: _nonlin_velocity(v).data, nu, dt)
-        new = _sym_grad_raw(g, u_new)
+        stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
+        new = _sym_grad_raw(r, _ifrk4(_velocity_raw(r, sh), stage, e_half, dt))
 
-    new = _strain_project_raw(g, new)
+    new = _strain_project_raw(r, new)
     if not np.all(np.isfinite(new)):
         raise NonFiniteStateError(f"non-finite state after step at t={state.t + dt}")
-    return StrainState(S=SymTensorField(g, new), t=state.t + dt, params=state.params)
+    return StrainState(
+        S=SymTensorField(g, r.unpack(new)), t=state.t + dt, params=state.params
+    )
 
 
 def cfl_dt(state: StrainState) -> float:
-    """dt = min(dt_max, cfl dx / max(1, |u|_inf), cfl / max(1, |S|_inf))."""
+    """dt = min(dt_max, cfl dx / max(1, |u|_inf), cfl / max(1, |S|_inf)).
+
+    u is recovered on the retained box, so the state must be dealiased."""
     p = state.params
     g = state.S.grid
     s_re = state.S.real_samples()
-    u_re = _irfft_raw(g, _velocity_raw(g, state.S.data))
+    r = g.retained
+    u_re = _irfft_box(g, _velocity_raw(r, r.pack(state.S.data)))
     if _kernels.HAVE_NUMBA:
         s_inf = float(np.sqrt(_kernels._max_frobenius_sq(s_re.reshape(6, -1))))
         u_inf = float(np.sqrt(_kernels._max_vector_sq(u_re.reshape(3, -1))))
@@ -272,15 +315,17 @@ def cfl_dt(state: StrainState) -> float:
 
 
 def _enstrophy_and_tail(S: SymTensorField) -> tuple[float, float]:
-    """Total enstrophy and the fraction held in the top 1/8 of retained shells."""
-    g = S.grid
+    """Total enstrophy and the fraction held in the top 1/8 of retained shells,
+    summed on the retained box (the state is dealiased)."""
+    r = S.grid.retained
+    sh = r.pack(S.data)
     w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
-    power = np.sum(w6 * (S.data.real**2 + S.data.imag**2), axis=0) * g.hermitian_weight
+    power = np.sum(w6 * (sh.real**2 + sh.imag**2), axis=0) * r.hermitian_weight
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0, 0.0
-    tail = float(np.sum(power, where=g.tail_mask))
-    return g.box_length**3 * total, tail / total
+    tail = float(np.sum(power, where=r.tail_mask))
+    return r.box_length**3 * total, tail / total
 
 
 # -- the run loop ----------------------------------------------------------------
@@ -486,4 +531,6 @@ def read_checkpoint(
     if params is None:
         params = SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code])
     S = SymTensorField(grid, np.ascontiguousarray(grid.from_monotone(data)))
-    return StrainState(S=forward_transform(S), t=t, params=params)
+    # dealiased like make_state, so the roundoff the transform leaves outside
+    # the retained box is dropped and step accepts the restart
+    return StrainState(S=dealias(forward_transform(S)), t=t, params=params)

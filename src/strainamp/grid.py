@@ -9,7 +9,15 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as _fft
 
-__all__ = ["GridSpec", "fft_workers", "rfft_raw", "rfft_dealias_raw", "irfft_raw"]
+__all__ = [
+    "GridSpec",
+    "RetainedModes",
+    "fft_workers",
+    "rfft_raw",
+    "rfft_retained_raw",
+    "irfft_raw",
+    "irfft_retained_raw",
+]
 
 _AXES = (-3, -2, -1)
 
@@ -31,11 +39,10 @@ def rfft_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
     return _fft.rfftn(a, axes=_AXES, workers=fft_workers(), norm="forward")
 
 
-def rfft_dealias_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
-    """Forward transform followed by the dealias mask."""
-    out = _fft.rfftn(a, axes=_AXES, workers=fft_workers(), norm="forward")
-    out *= grid.dealias_mask
-    return out
+def rfft_retained_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
+    """Forward transform gathered onto the retained box: the dealiased
+    coefficients, without the zeros outside it."""
+    return grid.retained.pack(rfft_raw(grid, a))
 
 
 def irfft_raw(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
@@ -43,6 +50,11 @@ def irfft_raw(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
     return _fft.irfftn(
         ah, s=(n, n, n), axes=_AXES, workers=fft_workers(), norm="forward"
     )
+
+
+def irfft_retained_raw(grid: "GridSpec", bh: np.ndarray) -> np.ndarray:
+    """Real samples of coefficients held on the retained box."""
+    return irfft_raw(grid, grid.retained.unpack(bh))
 
 
 @dataclass(frozen=True)
@@ -232,3 +244,70 @@ class GridSpec:
         """Retained modes in the top 1/8 of radial shells (resolution monitor)."""
         top = self.cutoff - 1
         return self.dealias_mask & (self.shell_index > 0.875 * top)
+
+    @cached_property
+    def retained(self) -> "RetainedModes":
+        """The modes kept by dealiasing, stored densely (see RetainedModes)."""
+        return RetainedModes(self)
+
+
+class RetainedModes:
+    """The 2/3-rule box of modes with every |m_i| <= cutoff - 1, stored as a
+    dense (2c-1, 2c-1, c) array in FFT order, c = cutoff.
+
+    Along the two full axes the box holds m = 0..c-1 then -(c-1)..-1; along
+    the halved axis m = 0..c-1. A dealiased field is exactly zero outside the
+    box, so mode-by-mode operators give the same values on the packed array
+    as on the full layout. The box carries the multiplier arrays those
+    operators read (kd, kd1, kd1_half, kd2, inv_kd2, k2, hermitian_weight,
+    tail_mask, box_length), each equal to the packed GridSpec array, so the
+    `_raw` helpers accept it in place of a grid.
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        n, c = grid.n, grid.cutoff
+        self.full_shape = grid.spectral_shape
+        self.box_length = grid.box_length
+        self.shape = (2 * c - 1, 2 * c - 1, c)
+        # the box is four blocks of the full layout: (lo | hi) x (lo | hi) x [:c]
+        lo, hi = slice(0, c), slice(n - c + 1, n)
+        self._blocks = [
+            ((bx, by, slice(None)), (fx, fy, slice(0, c)))
+            for bx, fx in ((slice(0, c), lo), (slice(c, None), hi))
+            for by, fy in ((slice(0, c), lo), (slice(c, None), hi))
+        ]
+        self._outside = (
+            (slice(c, n - c + 1), slice(None), slice(None)),
+            (slice(None), slice(c, n - c + 1), slice(None)),
+            (slice(None), slice(None), slice(c, None)),
+        )
+        self.kd1 = np.concatenate([grid.kd1[lo], grid.kd1[hi]])
+        self.kd1_half = grid.kd1_half[:c].copy()
+        self.kd = (
+            self.kd1[:, None, None],
+            self.kd1[None, :, None],
+            self.kd1_half[None, None, :],
+        )
+        self.kd2 = self.pack(grid.kd2)
+        self.inv_kd2 = self.pack(grid.inv_kd2)
+        self.k2 = self.pack(grid.k2)
+        self.hermitian_weight = grid.hermitian_weight[:c].copy()
+        self.tail_mask = self.pack(grid.tail_mask)
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """Gather the box out of a full-layout array (leading axes kept)."""
+        out = np.empty(a.shape[:-3] + self.shape, dtype=a.dtype)
+        for box, full in self._blocks:
+            out[(..., *box)] = a[(..., *full)]
+        return out
+
+    def unpack(self, b: np.ndarray) -> np.ndarray:
+        """Scatter a box array into the full layout, zero outside the box."""
+        out = np.zeros(b.shape[:-3] + self.full_shape, dtype=b.dtype)
+        for box, full in self._blocks:
+            out[(..., *full)] = b[(..., *box)]
+        return out
+
+    def holds(self, a: np.ndarray) -> bool:
+        """True when every mode of full-layout `a` outside the box is zero."""
+        return not any(np.any(a[(..., *sl)]) for sl in self._outside)

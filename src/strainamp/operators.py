@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .fields import SYM_PAIRS, ScalarField, SymTensorField, VectorField, l2_norm_sq
+from .fields import SYM_PAIRS, SYM_WEIGHTS, ScalarField, SymTensorField, VectorField
 from .grid import (
     GridSpec,
     irfft_raw as _irfft_raw,
-    rfft_dealias_raw as _rfft_dealias_raw,
+    rfft_retained_raw as _rfft_retained_raw,
 )
 from .spectral import forward_transform
 
@@ -56,6 +56,10 @@ class EigenTriple:
 
 
 # -- raw-array helpers (hot path) -----------------------------------------
+#
+# The mode-by-mode helpers take `grid`, either a GridSpec with its full r2c
+# layout or its RetainedModes box (grid.retained); both carry the same
+# multiplier attributes, so each operator is written once for both layouts.
 
 
 def _as_spectral(f):
@@ -112,6 +116,42 @@ def _velocity_raw(grid: GridSpec, sh: np.ndarray) -> np.ndarray:
     return -2.0 * grid.inv_kd2 * _div_sym_raw(grid, sh)
 
 
+def _curl_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+    kx, ky, kz = grid.kd
+    vx, vy, vz = vh
+    return np.stack(
+        [
+            1j * (ky * vz - kz * vy),
+            1j * (kz * vx - kx * vz),
+            1j * (kx * vy - ky * vx),
+        ]
+    )
+
+
+def _strain_residual_raw(grid: GridSpec, sh: np.ndarray) -> float:
+    """||P_st S - S|| / ||S|| of a spectral strain tensor (0 for S = 0)."""
+    w = SYM_WEIGHTS.reshape(6, 1, 1, 1) * grid.hermitian_weight
+
+    def norm_sq(a: np.ndarray) -> float:
+        s = np.sum(w * (a.real * a.real + a.imag * a.imag))
+        return float(grid.box_length**3 * s)
+
+    denom = norm_sq(sh)
+    if denom == 0.0:
+        return 0.0
+    return float(np.sqrt(norm_sq(_strain_project_raw(grid, sh) - sh) / denom))
+
+
+def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray, residual_tol: float = 1e-6):
+    """_velocity_raw after requiring S in the strain space (ConstraintError)."""
+    res = _strain_residual_raw(grid, sh)
+    if res > residual_tol:
+        raise ConstraintError(
+            f"strain-space residual {res:.3e} exceeds {residual_tol:.1e}"
+        )
+    return _velocity_raw(grid, sh)
+
+
 # -- interconversion -------------------------------------------------------
 
 
@@ -131,12 +171,7 @@ def divergence_residual(u: VectorField) -> float:
 def strain_space_residual(S: SymTensorField) -> float:
     """||P_st S - S|| / ||S|| (0 for the zero field)."""
     sf = _as_spectral(S)
-    ps = SymTensorField(sf.grid, _strain_project_raw(sf.grid, sf.data))
-    denom = l2_norm_sq(sf)
-    if denom == 0.0:
-        return 0.0
-    num = l2_norm_sq(SymTensorField(sf.grid, ps.data - sf.data))
-    return float(np.sqrt(num / denom))
+    return _strain_residual_raw(sf.grid, sf.data)
 
 
 def strain_of(u: VectorField, div_tol: float = 1e-8) -> SymTensorField:
@@ -153,27 +188,13 @@ def strain_of(u: VectorField, div_tol: float = 1e-8) -> SymTensorField:
 def velocity_of(S: SymTensorField, residual_tol: float = 1e-6) -> VectorField:
     """Invert the strain: u = -2 div (-lap)^{-1} S, requiring S in the strain space."""
     sf = _as_spectral(S)
-    res = strain_space_residual(sf)
-    if res > residual_tol:
-        raise ConstraintError(
-            f"strain-space residual {res:.3e} exceeds {residual_tol:.1e}"
-        )
-    return VectorField(sf.grid, _velocity_raw(sf.grid, sf.data))
+    return VectorField(sf.grid, _velocity_checked_raw(sf.grid, sf.data, residual_tol))
 
 
 def vorticity_of(u: VectorField) -> VectorField:
     """Spectral curl omega = curl u."""
     uf = _as_spectral(u)
-    kx, ky, kz = uf.grid.kd
-    ux, uy, uz = uf.data
-    w = np.stack(
-        [
-            1j * (ky * uz - kz * uy),
-            1j * (kz * ux - kx * uz),
-            1j * (kx * uy - ky * ux),
-        ]
-    )
-    return VectorField(uf.grid, w)
+    return VectorField(uf.grid, _curl_raw(uf.grid, uf.data))
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -208,36 +229,53 @@ def _advection_raw(grid: GridSpec, sh: np.ndarray, u_re: np.ndarray) -> np.ndarr
     return acc
 
 
-def _lamb_strain_raw(grid: GridSpec, u: VectorField, w: VectorField) -> np.ndarray:
-    """sym grad P_df(omega x u), dealiased, from spectral u and omega = curl u.
+def _s_squared_box(grid: GridSpec, s_re: np.ndarray) -> np.ndarray:
+    """Dealiased S^2 on the retained box, from real samples of S."""
+    return _rfft_retained_raw(grid, _sym_square_raw(s_re))
+
+
+def _sym_outer_box(grid: GridSpec, v_re: np.ndarray) -> np.ndarray:
+    """Dealiased v_i v_j on the retained box, from real samples of v."""
+    return _rfft_retained_raw(grid, _sym_outer_raw(v_re))
+
+
+def _lamb_strain_box(grid: GridSpec, u_re: np.ndarray, w_re: np.ndarray) -> np.ndarray:
+    """sym grad P_df(omega x u) on the retained box, from real samples of u
+    and omega = curl u.
 
     For S = sym grad u, (u.grad)S + S^2 + omega x omega/4 = sym grad(omega x u)
     + Hess(|u|^2/2) + |omega|^2 I/4, and P_st annihilates Hessians and
     multiples of I, so this is P_st((u.grad)S + S^2 + omega x omega/4) at 3
     products and one 3-component forward transform. Exact to roundoff while
     3 cutoff <= n + 2 (the 2/3 rule); beyond, both forms alias differently."""
-    ur, wr = u.real_samples(), w.real_samples()
-    lamb = np.stack([wr[i] * ur[j] - wr[j] * ur[i] for i, j in ((1, 2), (2, 0), (0, 1))])
-    return _sym_grad_raw(grid, _leray_raw(grid, _rfft_dealias_raw(grid, lamb)))
+    pairs = ((1, 2), (2, 0), (0, 1))
+    lamb = np.stack([w_re[i] * u_re[j] - w_re[j] * u_re[i] for i, j in pairs])
+    r = grid.retained
+    return _sym_grad_raw(r, _leray_raw(r, _rfft_retained_raw(grid, lamb)))
+
+
+def _lamb_strain_raw(grid: GridSpec, u: VectorField, w: VectorField) -> np.ndarray:
+    """_lamb_strain_box on the full layout, from spectral u and omega."""
+    return grid.retained.unpack(_lamb_strain_box(grid, u.real_samples(), w.real_samples()))
 
 
 def s_squared(S: SymTensorField) -> SymTensorField:
     """Pointwise S^2 computed in real space, dealiased in spectral space."""
     g = S.grid
-    return SymTensorField(g, _rfft_dealias_raw(g, _sym_square_raw(S.real_samples())))
+    return SymTensorField(g, g.retained.unpack(_s_squared_box(g, S.real_samples())))
 
 
 def omega_outer(omega: VectorField) -> SymTensorField:
     """Pointwise outer product omega_i omega_j, dealiased."""
     g = omega.grid
-    return SymTensorField(g, _rfft_dealias_raw(g, _sym_outer_raw(omega.real_samples())))
+    return SymTensorField(g, g.retained.unpack(_sym_outer_box(g, omega.real_samples())))
 
 
 def advection_term(u: VectorField, S: SymTensorField) -> SymTensorField:
     """(u . grad) S: spectral derivatives of S, products in real space, dealiased."""
     g = S.grid
     acc = _advection_raw(g, _as_spectral(S).data, u.real_samples())
-    return SymTensorField(g, _rfft_dealias_raw(g, acc))
+    return SymTensorField(g, g.retained.unpack(_rfft_retained_raw(g, acc)))
 
 
 # -- eigenvalues ------------------------------------------------------------

@@ -249,6 +249,19 @@ class TestCmdSweep:
         text = "kind = colliding_jets\nequation = model\namplitude = 1:2\n"
         assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
 
+    def test_invalid_point_keeps_other_rows(self, tmp_path, capsys):
+        text = (
+            "kind = colliding_jets\nequation = model\nn = 16\namplitude = 2\n"
+            "nu = 0:0.5:0.5\nt_end = 0\n"
+        )
+        rc = cli.main(["sweep", write_config(tmp_path, text)])
+        cap = capsys.readouterr()
+        rows = cap.out.strip().splitlines()[1:]
+        assert rc == 2
+        assert rows[0] == "2.0,0.0,,,,error,"
+        assert rows[1].split(",")[5] == "resolved_to_t_end"
+        assert "error: point m=2.0, nu=0.0: nu must be positive" in cap.err
+
 
 class TestCmdReport:
     def test_empty_file(self, tmp_path, capsys):
