@@ -51,22 +51,28 @@ def _sym_square_flat(s: np.ndarray, out: np.ndarray) -> None:
         out[5, i] = xz * xz + yz * yz + zz * zz
 
 
+# component c of S^2 is s[a]*s[b] + s[p]*s[q] + s[x]*s[y], summed in that order
+_SYM_SQUARE_TERMS = (
+    ((0, 0), (1, 1), (2, 2)),
+    ((0, 1), (1, 3), (2, 4)),
+    ((0, 2), (1, 4), (2, 5)),
+    ((1, 1), (3, 3), (4, 4)),
+    ((1, 2), (3, 4), (4, 5)),
+    ((2, 2), (4, 4), (5, 5)),
+)
+
+
 def sym_square(s: np.ndarray) -> np.ndarray:
     """Pointwise matrix square of stacked symmetric components."""
-    if not HAVE_NUMBA:
-        xx, xy, xz, yy, yz, zz = s
-        return np.stack(
-            [
-                xx * xx + xy * xy + xz * xz,
-                xx * xy + xy * yy + xz * yz,
-                xx * xz + xy * yz + xz * zz,
-                xy * xy + yy * yy + yz * yz,
-                xy * xz + yy * yz + yz * zz,
-                xz * xz + yz * yz + zz * zz,
-            ]
-        )
     out = np.empty_like(s)
-    _sym_square_flat(s.reshape(6, -1), out.reshape(6, -1))
+    if HAVE_NUMBA:
+        _sym_square_flat(s.reshape(6, -1), out.reshape(6, -1))
+        return out
+    tmp = np.empty_like(s[0])
+    for o, ((a, b), (p, q), (x, y)) in zip(out, _SYM_SQUARE_TERMS):
+        np.multiply(s[a], s[b], out=o)
+        o += np.multiply(s[p], s[q], out=tmp)
+        o += np.multiply(s[x], s[y], out=tmp)
     return out
 
 

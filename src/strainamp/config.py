@@ -159,7 +159,7 @@ def _parse_range(key: str, raw: str) -> list[float]:
         start, step, end = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"malformed range for key '{key}': {raw!r}") from None
-    if step <= 0 or end < start:
+    if not all(map(math.isfinite, (start, step, end))) or step <= 0 or end < start:
         raise ConfigError(f"malformed range for key '{key}': {raw!r}")
     count = int(math.floor((end - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(count)]

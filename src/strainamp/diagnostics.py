@@ -4,29 +4,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .fields import (
-    SYM_PAIRS,
-    SYM_WEIGHTS,
-    SymTensorField,
-    VectorField,
-    _component_weights,
-    l2_inner,
-    l2_norm_sq,
-)
+from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, VectorField, _mode_sum
+from .grid import irfft_raw
 from .operators import (
     _as_real,
     _as_spectral,
-    _lamb_strain_raw,
+    _curl_raw,
+    _lamb_strain_box,
+    _s_squared_box,
     _strain_project_raw,
+    _velocity_checked_raw,
     lambda_fields,
-    s_squared,
-    velocity_of,
-    vorticity_of,
 )
-from .spectral import laplacian
 
 __all__ = [
     "Q_VALUES",
@@ -76,14 +69,41 @@ def p_exponent(q: float) -> float:
 
 
 # -- Sobolev norms -----------------------------------------------------------
+#
+# Spectral sums run on the retained box when the field is dealiased (every
+# state make_state, step and read_checkpoint produce), since it is exactly
+# zero outside it, and on the full r2c layout otherwise.
 
 
-def _hs_weight(grid, alpha: float) -> np.ndarray:
+def _layout(f):
+    """(lay, coefficients of f on lay): the retained box when f has no mode
+    outside it, else the full layout."""
+    sf = _as_spectral(f)
+    r = sf.grid.retained
+    if r.holds(sf.data):
+        return r, r.pack(sf.data)
+    return sf.grid, sf.data
+
+
+def _hs_weight(lay, alpha: float) -> np.ndarray:
     if alpha == 0:
-        return np.ones_like(grid.k2)
-    w = np.zeros_like(grid.k2)
-    np.power(grid.k2, alpha, out=w, where=grid.k2 > 0)
+        return np.ones_like(lay.k2)
+    w = np.zeros_like(lay.k2)
+    np.power(lay.k2, alpha, out=w, where=lay.k2 > 0)
     return w
+
+
+def _check_alpha(alpha: float) -> None:
+    if not -1.5 < alpha < 1.5:
+        raise ValueError(f"alpha must lie in (-3/2, 3/2), got {alpha}")
+
+
+def _hs(lay, a: np.ndarray, alpha: float) -> float:
+    return _mode_sum(lay, a, a, _hs_weight(lay, alpha))
+
+
+def _grad_hs(lay, uh: np.ndarray, alpha: float) -> float:
+    return _mode_sum(lay, uh, uh, _hs_weight(lay, alpha) * lay.kd2)
 
 
 def hs_norm_sq(f, alpha: float) -> float:
@@ -91,28 +111,14 @@ def hs_norm_sq(f, alpha: float) -> float:
 
     Valid for -3/2 < alpha < 3/2; the mean mode is excluded for alpha != 0.
     """
-    if not -1.5 < alpha < 1.5:
-        raise ValueError(f"alpha must lie in (-3/2, 3/2), got {alpha}")
-    sf = _as_spectral(f)
-    g = sf.grid
-    s = np.sum(
-        _component_weights(sf) * g.hermitian_weight * _hs_weight(g, alpha)
-        * (sf.data.real**2 + sf.data.imag**2)
-    )
-    return float(g.box_length**3 * s)
+    _check_alpha(alpha)
+    return _hs(*_layout(f), alpha)
 
 
 def grad_hs_norm_sq(u: VectorField, alpha: float) -> float:
     """Squared H^alpha norm of the full velocity-gradient tensor."""
-    if not -1.5 < alpha < 1.5:
-        raise ValueError(f"alpha must lie in (-3/2, 3/2), got {alpha}")
-    uf = _as_spectral(u)
-    g = uf.grid
-    s = np.sum(
-        g.hermitian_weight * _hs_weight(g, alpha) * g.kd2
-        * (uf.data.real**2 + uf.data.imag**2)
-    )
-    return float(g.box_length**3 * s)
+    _check_alpha(alpha)
+    return _grad_hs(*_layout(u), alpha)
 
 
 def enstrophy(S: SymTensorField) -> float:
@@ -202,23 +208,44 @@ def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
 
 
 class _Sample:
-    """Fields derived from one strain sample, built once: S spectral and real,
-    int det(S), u = velocity_of(S) (one strain-space residual check) and
-    omega; u and omega memoize their real samples, and hs() the norms of S."""
+    """Fields derived from one strain sample, built once.
+
+    The spectral work runs on `lay`, the retained box when S is dealiased
+    and the full layout otherwise (see _layout): S on lay (`sh`) and its
+    real samples, int det(S), u (one strain-space residual check) and omega
+    on lay, with their real samples on first use; hs() memoizes the norms
+    of S."""
 
     def __init__(self, S: SymTensorField) -> None:
-        self.S = _as_spectral(S)
+        self.g = S.grid
+        self.lay, self.sh = _layout(S)
         self.s_re = _as_real(S).data
         self.det = det_integral(S)
-        self.u = velocity_of(self.S)
-        self.w = vorticity_of(self.u)
+        self.uh = _velocity_checked_raw(self.lay, self.sh)
+        self.wh = _curl_raw(self.lay, self.uh)
         self._hs: dict[float, float] = {}
+
+    def on_lay(self, box: np.ndarray) -> np.ndarray:
+        """A retained-box array moved onto lay."""
+        return box if self.lay is not self.g else self.g.retained.unpack(box)
+
+    def real(self, a: np.ndarray) -> np.ndarray:
+        """Real samples of coefficients held on lay."""
+        return irfft_raw(self.g, a if self.lay is self.g else self.lay.unpack(a))
+
+    @cached_property
+    def u_re(self) -> np.ndarray:
+        return self.real(self.uh)
+
+    @cached_property
+    def w_re(self) -> np.ndarray:
+        return self.real(self.wh)
 
     def hs(self, alpha: float) -> float:
         """hs_norm_sq(S, alpha), computed once per alpha (E, K and H1 are
         alpha = 0, -1 and 1)."""
         if alpha not in self._hs:
-            self._hs[alpha] = hs_norm_sq(self.S, alpha)
+            self._hs[alpha] = _hs(self.lay, self.sh, alpha)
         return self._hs[alpha]
 
 
@@ -227,8 +254,8 @@ def _isometry(b: _Sample) -> float:
     for alpha in (-1.0, 0.0, 1.0):
         vals = (
             b.hs(alpha),
-            0.5 * hs_norm_sq(b.w, alpha),
-            0.5 * grad_hs_norm_sq(b.u, alpha),
+            0.5 * _hs(b.lay, b.wh, alpha),
+            0.5 * _grad_hs(b.lay, b.uh, alpha),
         )
         top = max(vals)
         if top > 0:
@@ -248,19 +275,19 @@ def _orth_and_ratio(b: _Sample, nu: float | None = None) -> tuple[float, float |
     zero field. By the Lamb-vector identity A = sym grad P_df(omega x u) equals
     P_st((u.grad)S + S^2 + omega x omega/4) (exact while 3 cutoff <= n + 2), so
     with B = P_st(S^2), D = A - 2B/3 and the retained P_st part is A/2 + B/3."""
-    sf, g = b.S, b.S.grid
+    lay, g = b.lay, b.g
     ns = math.sqrt(b.hs(0.0))
     if ns == 0.0:
         return 0.0, None
-    A = _lamb_strain_raw(g, b.u, b.w)
-    B = _strain_project_raw(g, s_squared(SymTensorField(g, b.s_re)).data)
-    term = SymTensorField(g, A - (2.0 / 3.0) * B)
-    nt = math.sqrt(l2_norm_sq(term))
-    orth = abs(l2_inner(term, sf)) / (nt * ns + _EPS)
+    A = b.on_lay(_lamb_strain_box(g, b.u_re, b.w_re))
+    B = _strain_project_raw(lay, b.on_lay(_s_squared_box(g, b.s_re)))
+    term = A - (2.0 / 3.0) * B
+    nt = math.sqrt(_mode_sum(lay, term, term))
+    orth = abs(_mode_sum(lay, term, b.sh)) / (nt * ns + _EPS)
     if nu is None:
         return orth, None
-    kept = 0.5 * A + B / 3.0
-    den = math.sqrt(l2_norm_sq(SymTensorField(g, -nu * laplacian(sf).data + kept)))
+    kept = nu * (lay.k2 * b.sh) + (0.5 * A + B / 3.0)  # -nu lap S + P_st part
+    den = math.sqrt(_mode_sum(lay, kept, kept))
     return orth, (nt / den if den != 0.0 else math.inf)
 
 
@@ -270,15 +297,14 @@ def orthogonality_residual(S: SymTensorField) -> float:
 
 
 def _vortex_det(b: _Sample) -> float:
-    g, s_re = b.S.grid, b.s_re
-    wdat = b.w.real_samples()
+    s_re, wdat = b.s_re, b.w_re
     pair = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):
         pair += SYM_WEIGHTS[c] * np.sum(s_re[c] * wdat[i] * wdat[j])
-    pair = float(pair * g.cell_volume)
+    pair = float(pair * b.g.cell_volume)
     lhs = pair + 4.0 * b.det
     wmag2 = wdat[0] ** 2 + wdat[1] ** 2 + wdat[2] ** 2
-    wl4_sq = float(np.sqrt(g.cell_volume * np.sum(wmag2**2)))
+    wl4_sq = float(np.sqrt(b.g.cell_volume * np.sum(wmag2**2)))
     return abs(lhs) / (math.sqrt(b.hs(0.0)) * wl4_sq + _EPS)
 
 
@@ -295,10 +321,10 @@ def perturbative_ratio(S: SymTensorField, nu: float) -> float:
 
     The numerator is the dropped term of res_orth; both norms are evaluated
     from the Lamb vector omega x u and S^2 (exact while 3 cutoff <= n + 2)."""
-    sf = _as_spectral(S)
-    if l2_norm_sq(sf) == 0.0:
+    b = _Sample(S)
+    if b.hs(0.0) == 0.0:
         raise ValueError("ratio is undefined for the zero field")
-    return _orth_and_ratio(_Sample(sf), nu)[1]
+    return _orth_and_ratio(b, nu)[1]
 
 
 def enstrophy_identity_residual(samples, nu: float) -> float:
@@ -430,11 +456,12 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
     """Instantaneous functionals used by the run loop to assemble records.
 
     One derived-field bundle per call, dropped on return: S's real samples,
-    one velocity_of (so one strain-space residual check), omega, and int
-    det(S) for detS, f and res_vortdet. The norms of S are taken once: E, K
-    and H1 also serve the isometry check, and E gives ||S|| to res_orth and
-    res_vortdet. res_orth and the ratio share one Lamb-vector term and one
-    P_st(S^2)."""
+    u (so one strain-space residual check), omega, and int det(S) for detS,
+    f and res_vortdet. Its spectral work runs on the retained box, as every
+    state the run loop samples is dealiased. The norms of S are taken once:
+    E, K and H1 also serve the isometry check, and E gives ||S|| to res_orth
+    and res_vortdet. res_orth and the ratio share one Lamb-vector term and
+    one P_st(S^2)."""
     lam2_norms = lambda_lq_norms(S)  # before the bundle, to keep the peak low
     b = _Sample(S)
     e = b.hs(0.0)

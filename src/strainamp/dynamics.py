@@ -16,6 +16,7 @@ for inverse transforms and for the result.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -490,16 +491,26 @@ def _nonuniform_dedt(t0, e0, t1, e1, t2, e2) -> float:
 def write_checkpoint(path: str, state: StrainState) -> None:
     """Binary checkpoint: magic, u64 n, f64 L, f64 t, f64 nu, u8 equation code,
     then 6 n^3 float64 real-space tensor components (x fastest, samples in
-    increasing coordinate order from -L/2), little-endian."""
+    increasing coordinate order from -L/2), little-endian.
+
+    The file is written beside `path` and renamed onto it, so a write that
+    fails midway leaves the previous checkpoint intact."""
     g = state.S.grid
     s_re = g.to_monotone(state.S.real_samples())
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", g.n))
-        fh.write(struct.pack("<ddd", g.box_length, state.t, state.params.nu))
-        fh.write(struct.pack("<B", _EQUATION_CODE[state.params.equation]))
-        for c in range(6):
-            fh.write(s_re[c].astype("<f8").ravel(order="F").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", g.n))
+            fh.write(struct.pack("<ddd", g.box_length, state.t, state.params.nu))
+            fh.write(struct.pack("<B", _EQUATION_CODE[state.params.equation]))
+            for c in range(6):
+                fh.write(s_re[c].astype("<f8").ravel(order="F").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(

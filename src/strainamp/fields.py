@@ -89,10 +89,23 @@ class SymTensorField(_Field):
     ncomp: ClassVar[int] = 6
 
 
-def _component_weights(field: _Field) -> np.ndarray | float:
-    if isinstance(field, SymTensorField):
+def _component_weights(a: np.ndarray) -> np.ndarray | float:
+    """Frobenius multiplicities of the leading axis: SYM_WEIGHTS for a
+    6-component tensor array, 1 otherwise."""
+    if a.shape[:-3] == (6,):
         return SYM_WEIGHTS.reshape(6, 1, 1, 1)
     return 1.0
+
+
+def _mode_sum(lay, a: np.ndarray, b: np.ndarray, mult=None) -> float:
+    """L^3 sum over stored modes of w Re(conj(a) b), optionally times the
+    multiplier `mult`, on a layout `lay` (a GridSpec or its retained box):
+    w is the Hermitian multiplicity times the Frobenius component weights."""
+    w = _component_weights(a) * lay.hermitian_weight
+    if mult is not None:
+        w = w * mult
+    s = np.sum(w * (a.real * b.real + a.imag * b.imag))
+    return float(lay.box_length**3 * s)
 
 
 def l2_inner(a: _Field, b: _Field) -> float:
@@ -104,11 +117,9 @@ def l2_inner(a: _Field, b: _Field) -> float:
     """
     if type(a) is not type(b) or a.grid != b.grid or a.spectral != b.spectral:
         raise ValueError("inner product requires matching field types and grids")
-    w = _component_weights(a)
     if a.spectral:
-        hw = a.grid.hermitian_weight
-        s = np.sum(w * hw * (a.data.real * b.data.real + a.data.imag * b.data.imag))
-        return float(a.grid.box_length**3 * s)
+        return _mode_sum(a.grid, a.data, b.data)
+    w = _component_weights(a.data)
     return float(a.grid.cell_volume * np.sum(w * a.data * b.data))
 
 

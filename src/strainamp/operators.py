@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .fields import SYM_PAIRS, SYM_WEIGHTS, ScalarField, SymTensorField, VectorField
+from .fields import SYM_PAIRS, ScalarField, SymTensorField, VectorField, _mode_sum
 from .grid import (
     GridSpec,
     irfft_raw as _irfft_raw,
@@ -130,16 +130,11 @@ def _curl_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
 
 def _strain_residual_raw(grid: GridSpec, sh: np.ndarray) -> float:
     """||P_st S - S|| / ||S|| of a spectral strain tensor (0 for S = 0)."""
-    w = SYM_WEIGHTS.reshape(6, 1, 1, 1) * grid.hermitian_weight
-
-    def norm_sq(a: np.ndarray) -> float:
-        s = np.sum(w * (a.real * a.real + a.imag * a.imag))
-        return float(grid.box_length**3 * s)
-
-    denom = norm_sq(sh)
+    denom = _mode_sum(grid, sh, sh)
     if denom == 0.0:
         return 0.0
-    return float(np.sqrt(norm_sq(_strain_project_raw(grid, sh) - sh) / denom))
+    d = _strain_project_raw(grid, sh) - sh
+    return float(np.sqrt(_mode_sum(grid, d, d) / denom))
 
 
 def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray, residual_tol: float = 1e-6):

@@ -249,6 +249,16 @@ class TestCmdSweep:
         text = "kind = colliding_jets\nequation = model\namplitude = 1:2\n"
         assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
 
+    @pytest.mark.parametrize(
+        "key, raw", [("nu", "0:1:inf"), ("amplitude", "nan:1:2")]
+    )
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, key, raw):
+        text = f"kind = colliding_jets\nequation = model\nn = 16\n{key} = {raw}\n"
+        assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed range for key '{key}'" in err
+        assert "Traceback" not in err
+
     def test_invalid_point_keeps_other_rows(self, tmp_path, capsys):
         text = (
             "kind = colliding_jets\nequation = model\nn = 16\namplitude = 2\n"

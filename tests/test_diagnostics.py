@@ -298,9 +298,11 @@ class TestSampleFunctionals:
         g = GridSpec(16, 16.0)
         S = random_strain(g, 2)
         calls = []
-        orig = diag.velocity_of
+        orig = diag._velocity_checked_raw
         monkeypatch.setattr(
-            diag, "velocity_of", lambda *a, **k: calls.append(1) or orig(*a, **k)
+            diag,
+            "_velocity_checked_raw",
+            lambda *a, **k: calls.append(1) or orig(*a, **k),
         )
         diag.sample_functionals(S, 1.0, True)
         assert len(calls) == 1
@@ -341,12 +343,18 @@ class TestSampleFunctionals:
             l2_norm_sq(SymTensorField(g, dropped))
             / l2_norm_sq(SymTensorField(g, kept))
         )
-        seen = []  # res_orth's dropped term is the first argument of l2_inner
-        orig = diag.l2_inner
+        # res_orth's <dropped term, S> is the one mode sum of two different
+        # arrays; the dropped term is its first argument, held on the box
+        seen = []
+        orig = diag._mode_sum
         monkeypatch.setattr(
-            diag, "l2_inner", lambda a, b: seen.append(a.data) or orig(a, b)
+            diag,
+            "_mode_sum",
+            lambda lay, a, b, *r: (a is not b and seen.append(lay.unpack(a)))
+            or orig(lay, a, b, *r),
         )
         vals = diag.sample_functionals(S, nu, True)
+        assert len(seen) == 1
         assert np.max(np.abs(seen[0] - dropped)) <= 1e-12 * np.max(np.abs(dropped))
         assert vals["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0.0)
 

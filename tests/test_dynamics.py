@@ -434,6 +434,42 @@ class TestCheckpoint:
         assert (n, L, t, nu, code) == (16, 4.0, 0.25, 1.0, 1)
         assert len(blob) == 39 + 6 * 16**3 * 8
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        g = GridSpec(16, 16.0)
+        st = random_state(g, 17)
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, st)
+        before = read_checkpoint(path)
+
+        class DiskFull:
+            """A file whose writes fail once the 39-byte header is out."""
+
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.written >= 39:
+                    raise OSError(28, "No space left on device")
+                self.written += len(data)
+                return self.fh.write(data)
+
+        monkeypatch.setattr(
+            dynamics, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError):
+            write_checkpoint(path, step(st, 1e-3))
+        monkeypatch.undo()
+        after = read_checkpoint(path)
+        assert after.t == before.t
+        assert np.array_equal(after.S.data, before.S.data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
     def test_from_checkpoint_initializer(self, tmp_path):
         from strainamp.initdata import InitSpec, initial_strain
 

@@ -1,14 +1,19 @@
-"""The retained-mode box and the stepper that runs on it.
+"""The retained-mode box, and the stepper and diagnostics sample that run on it.
 
-The oracle below is the full-layout IF-RK4 step written out with the
-full-grid `_raw` helpers, mask-multiplied forward transforms and
-velocity_of; the box stepper must reproduce it bit for bit.
+The stepper oracle below is the full-layout IF-RK4 step written out with
+the full-grid `_raw` helpers, mask-multiplied forward transforms and
+velocity_of; the box stepper must reproduce it bit for bit. The sample
+oracle is the diagnostics sample written out on the full layout; the box
+sample must reproduce it to roundoff.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from strainamp import _kernels
+from strainamp import diagnostics as diag
 from strainamp.dynamics import (
     SimParams,
     StrainState,
@@ -18,19 +23,29 @@ from strainamp.dynamics import (
     step,
     write_checkpoint,
 )
-from strainamp.fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, VectorField
+from strainamp.fields import (
+    SYM_PAIRS,
+    SYM_WEIGHTS,
+    SymTensorField,
+    VectorField,
+    l2_inner,
+)
 from strainamp.grid import GridSpec, rfft_raw
 from strainamp.initdata import random_solenoidal
 from strainamp.operators import (
     _div_sym_raw,
+    _lamb_strain_raw,
     _leray_raw,
     _strain_project_raw,
     _sym_grad_raw,
     _velocity_raw,
+    s_squared,
     strain_of,
+    strain_project,
     velocity_of,
     vorticity_of,
 )
+from strainamp.spectral import laplacian
 
 GRIDS = [(16, 2 / 3), (16, 0.7), (16, 1.0), (32, 2 / 3), (32, 0.7), (32, 1.0)]
 
@@ -115,6 +130,116 @@ class TestBoxStepperOracle:
                 np.testing.assert_allclose(st.S.data, ref.data, rtol=0, atol=tol)
             else:
                 assert np.array_equal(st.S.data, ref.data)
+
+
+# -- the diagnostics sample on the box ------------------------------------------------
+
+
+def _full_hs(g, a, alpha, kd2=False):
+    """L^3 sum of w |k|^(2 alpha) |a|^2 over the full r2c layout."""
+    hsw = np.ones_like(g.k2)
+    if alpha != 0:
+        np.power(g.k2, alpha, out=hsw, where=g.k2 > 0)
+    if kd2:
+        hsw = hsw * g.kd2
+    w = SYM_WEIGHTS.reshape(6, 1, 1, 1) if a.shape[0] == 6 else 1.0
+    s = np.sum(w * g.hermitian_weight * hsw * (a.real**2 + a.imag**2))
+    return float(g.box_length**3 * s)
+
+
+def _oracle_sample(S, nu, with_ratio):
+    g = S.grid
+    hs = {alpha: _full_hs(g, S.data, alpha) for alpha in (-1.0, 0.0, 1.0)}
+    e, h1 = hs[0.0], hs[1.0]
+    det = diag.det_integral(S)
+    f = -3.0 * nu * h1 - 4.0 * det
+    u = velocity_of(S)
+    w = vorticity_of(u)
+    A = _lamb_strain_raw(g, u, w)
+    B = strain_project(s_squared(S)).data
+    term = SymTensorField(g, A - (2.0 / 3.0) * B)
+    nt, ns = math.sqrt(l2_inner(term, term)), math.sqrt(e)
+    kept = SymTensorField(g, -nu * laplacian(S).data + 0.5 * A + B / 3.0)
+    iso = 0.0
+    for alpha in (-1.0, 0.0, 1.0):
+        vals = (
+            hs[alpha],
+            0.5 * _full_hs(g, w.data, alpha),
+            0.5 * _full_hs(g, u.data, alpha, kd2=True),
+        )
+        iso = max(iso, (max(vals) - min(vals)) / max(vals))
+    s_re, w_re = S.real_samples(), w.real_samples()
+    pair = sum(
+        SYM_WEIGHTS[c] * np.sum(s_re[c] * w_re[i] * w_re[j])
+        for c, (i, j) in enumerate(SYM_PAIRS)
+    )
+    wl4_sq = math.sqrt(g.cell_volume * np.sum(np.sum(w_re**2, axis=0) ** 2))
+    return {
+        "E": e,
+        "K": hs[-1.0],
+        "H1": h1,
+        "detS": det,
+        "trS3": diag.trace_cubed_integral(S),
+        "f": f,
+        "g": f / e**1.5,
+        "lam2_norms": diag.lambda_lq_norms(S),
+        "res_orth": abs(l2_inner(term, S)) / (nt * ns + 1e-30),
+        "ratio": nt / math.sqrt(l2_inner(kept, kept)) if with_ratio else None,
+        "res_vortdet": abs(pair * g.cell_volume + 4.0 * det) / (ns * wl4_sq + 1e-30),
+        "res_isometry": iso,
+    }
+
+
+def _assert_sample_matches(vals, ref):
+    assert vals.keys() == ref.keys()
+    for key in ("E", "K", "H1", "f", "g"):
+        assert abs(vals[key] - ref[key]) <= 1e-14 * abs(ref[key]), key
+    if ref["ratio"] is None:
+        assert vals["ratio"] is None
+    else:
+        assert abs(vals["ratio"] - ref["ratio"]) <= 1e-14 * ref["ratio"]
+    for key in ("detS", "trS3", "lam2_norms"):
+        assert vals[key] == ref[key], key
+    for key in ("res_orth", "res_vortdet", "res_isometry"):
+        assert abs(vals[key] - ref[key]) <= 1e-15, key
+
+
+class TestBoxSampleOracle:
+    @pytest.mark.parametrize("with_ratio", [False, True])
+    @pytest.mark.parametrize("seed", [5, 9])
+    @pytest.mark.parametrize("n, fraction", GRIDS)
+    def test_matches_full_layout_sample(self, n, fraction, seed, with_ratio):
+        g = GridSpec(n, 16.0, fraction)
+        S = make_state(
+            strain_of(random_solenoidal(g, seed, amplitude=3.0)),
+            0.0,
+            SimParams(0.5, "full_strain"),
+        ).S
+        assert g.retained.holds(S.data)
+        vals = diag.sample_functionals(S, 0.5, with_ratio)
+        _assert_sample_matches(vals, _oracle_sample(S, 0.5, with_ratio))
+
+    def test_mode_outside_box_takes_full_layout(self, monkeypatch):
+        g = GridSpec(16, 16.0)
+        c = g.cutoff
+        data = make_state(
+            strain_of(random_solenoidal(g, 6, amplitude=3.0)),
+            0.0,
+            SimParams(0.5, "full_strain"),
+        ).S.data.copy()
+        data[1, c, 0, 1] = 0.2  # |m_x| = cutoff: outside the box
+        S = strain_project(SymTensorField(g, data))
+        assert not g.retained.holds(S.data)
+        for alpha in (-1.0, 0.0, 1.0):
+            assert diag.hs_norm_sq(S, alpha) == _full_hs(g, S.data, alpha)
+        layouts = []
+        orig = diag._mode_sum
+        monkeypatch.setattr(
+            diag, "_mode_sum", lambda lay, *a: layouts.append(lay) or orig(lay, *a)
+        )
+        vals = diag.sample_functionals(S, 0.5, True)
+        assert layouts and all(lay is g for lay in layouts)
+        _assert_sample_matches(vals, _oracle_sample(S, 0.5, True))
 
 
 # -- GridSpec.retained -----------------------------------------------------------
