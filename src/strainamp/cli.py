@@ -124,6 +124,7 @@ _NUMERIC_KEYS = (
     + [f"lam2_q{q}" for q in ("1.5", "2", "3", "inf")]
     + [f"acc_q{q}" for q in ("1.5", "2", "3", "inf")]
     + ["ratio", "res_enstrophy", "res_orth", "res_vortdet", "res_isometry"]
+    + ["res_constraint"]
 )
 
 

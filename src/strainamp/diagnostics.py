@@ -14,9 +14,10 @@ from .operators import (
     _as_real,
     _as_spectral,
     _curl_raw,
-    _lamb_strain_box,
+    _lamb_box,
     _s_squared_box,
     _strain_project_raw,
+    _sym_grad_raw,
     _velocity_checked_raw,
     lambda_fields,
 )
@@ -212,16 +213,16 @@ class _Sample:
 
     The spectral work runs on `lay`, the retained box when S is dealiased
     and the full layout otherwise (see _layout): S on lay (`sh`) and its
-    real samples, int det(S), u (one strain-space residual check) and omega
-    on lay, with their real samples on first use; hs() memoizes the norms
-    of S."""
+    real samples, int det(S), u (one strain-space residual check, whose
+    value is kept as `res_constraint`) and omega on lay, with their real
+    samples on first use; hs() memoizes the norms of S."""
 
     def __init__(self, S: SymTensorField) -> None:
         self.g = S.grid
         self.lay, self.sh = _layout(S)
         self.s_re = _as_real(S).data
         self.det = det_integral(S)
-        self.uh = _velocity_checked_raw(self.lay, self.sh)
+        self.uh, self.res_constraint = _velocity_checked_raw(self.lay, self.sh)
         self.wh = _curl_raw(self.lay, self.uh)
         self._hs: dict[float, float] = {}
 
@@ -279,7 +280,7 @@ def _orth_and_ratio(b: _Sample, nu: float | None = None) -> tuple[float, float |
     ns = math.sqrt(b.hs(0.0))
     if ns == 0.0:
         return 0.0, None
-    A = b.on_lay(_lamb_strain_box(g, b.u_re, b.w_re))
+    A = b.on_lay(_sym_grad_raw(g.retained, _lamb_box(g, b.u_re, b.w_re)))
     B = _strain_project_raw(lay, b.on_lay(_s_squared_box(g, b.s_re)))
     term = A - (2.0 / 3.0) * B
     nt = math.sqrt(_mode_sum(lay, term, term))
@@ -446,7 +447,9 @@ class DiagnosticsRecord:
             out[f"acc_{_Q_KEY[q]}"] = self.regcrit_accum[q]
         if self.ratio is not None and math.isfinite(self.ratio):
             out["ratio"] = self.ratio
-        for name in ("res_enstrophy", "res_orth", "res_vortdet", "res_isometry"):
+        for name in (
+            "res_enstrophy", "res_orth", "res_vortdet", "res_isometry", "res_constraint"
+        ):
             if name in self.residuals:
                 out[name] = self.residuals[name]
         return out
@@ -461,7 +464,8 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
     state the run loop samples is dealiased. The norms of S are taken once:
     E, K and H1 also serve the isometry check, and E gives ||S|| to res_orth
     and res_vortdet. res_orth and the ratio share one Lamb-vector term and
-    one P_st(S^2)."""
+    one P_st(S^2). res_constraint is the strain-space residual
+    ||P_st S - S|| / ||S|| from the sample's residual check."""
     lam2_norms = lambda_lq_norms(S)  # before the bundle, to keep the peak low
     b = _Sample(S)
     e = b.hs(0.0)
@@ -482,4 +486,5 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
     )
     vals["res_vortdet"] = _vortex_det(b)
     vals["res_isometry"] = _isometry(b)
+    vals["res_constraint"] = b.res_constraint
     return vals

@@ -2,15 +2,18 @@
 
 The linear diffusion is applied exactly through the heat multiplier; the
 nonlinearity is advanced with classical four-stage Runge-Kutta on the
-integrating-factor variable, giving O(dt^5) local error. The state is
-re-projected onto the strain space after every step.
+integrating-factor variable, giving O(dt^5) local error. The strain space
+is {sym grad u : div u = 0} and the scheme commutes with sym grad, so every
+equation is stepped in velocity variables: `step` advances u (3 components,
+not 6) and returns S = sym grad u, in the strain space by construction, not
+by re-projection (the records monitor it as res_constraint).
 
 A state is dealiased (make_state and read_checkpoint ensure it), and every
 right-hand side is dealiased, so a step never leaves the 2/3-rule box of
 retained modes. `step` therefore packs the state once into that dense box
-(GridSpec.retained, about a quarter of the r2c layout), runs the stages,
-their projections and checks there, and scatters to the full layout only
-for inverse transforms and for the result.
+(GridSpec.retained, about a quarter of the r2c layout), runs the stages
+there, and scatters to the full layout only for inverse transforms and for
+the result.
 """
 
 from __future__ import annotations
@@ -31,11 +34,9 @@ from .operators import (
     _as_spectral,
     _curl_raw,
     _div_sym_raw,
-    _lamb_strain_box,
-    _lamb_strain_raw,
+    _lamb_box,
     _leray_raw,
     _s_squared_box,
-    _strain_project_raw,
     _sym_grad_raw,
     _sym_outer_box,
     _velocity_checked_raw,
@@ -156,23 +157,22 @@ def make_state(S: SymTensorField, t: float, params: SimParams) -> StrainState:
 
 # -- right-hand sides ---------------------------------------------------------
 #
-# Each nonlinearity is written once, on the retained box: it takes real
-# samples and returns the dealiased spectral result packed into
-# grid.retained. The full-layout forms below unpack it.
+# Each nonlinearity is written once, in u form on the retained box: it
+# returns the dealiased spectral du/dt packed into grid.retained. The strain
+# right-hand sides take sym grad of it and unpack.
 
 
 def _model_stage(g: GridSpec, s_re: np.ndarray) -> np.ndarray:
-    """-2/3 P_st(S^2) on the retained box, from real samples of S."""
+    """(4/3) P_df (-lap)^{-1} div(S^2) on the retained box, from real samples
+    of S: -2/3 P_st(S^2) without its outer sym grad."""
     r = g.retained
-    return -(2.0 / 3.0) * _strain_project_raw(r, _s_squared_box(g, s_re))
+    return -(2.0 / 3.0) * _leray_raw(r, _velocity_raw(r, _s_squared_box(g, s_re)))
 
 
-def _full_stage(g: GridSpec, sh: np.ndarray) -> np.ndarray:
-    """-sym grad P_df(omega x u) for S packed on the retained box; u and
-    omega are recovered from S after the strain-space residual check."""
+def _full_stage(g: GridSpec, uh: np.ndarray) -> np.ndarray:
+    """-P_df(omega x u) on the retained box, for u packed on it."""
     r = g.retained
-    uh = _velocity_checked_raw(r, sh)
-    return -_lamb_strain_box(g, _irfft_box(g, uh), _irfft_box(g, _curl_raw(r, uh)))
+    return -_lamb_box(g, _irfft_box(g, uh), _irfft_box(g, _curl_raw(r, uh)))
 
 
 def _velocity_stage(g: GridSpec, u_re: np.ndarray) -> np.ndarray:
@@ -181,26 +181,26 @@ def _velocity_stage(g: GridSpec, u_re: np.ndarray) -> np.ndarray:
     return -_leray_raw(r, _div_sym_raw(r, _sym_outer_box(g, u_re)))
 
 
-def _nonlin_full(S: SymTensorField) -> SymTensorField:
-    """-P_st((u.grad)S + S^2 + omega x omega / 4), evaluated as -sym grad
-    P_df(omega x u) with u, omega recovered from S (velocity_of checks the
-    strain-space residual). The two forms agree to roundoff while
-    3 cutoff <= n + 2; on more aliased grids the rotational form is used."""
-    g = S.grid
-    u = velocity_of(S)
-    return SymTensorField(g, -_lamb_strain_raw(g, u, vorticity_of(u)))
+def _strain_rhs(S: SymTensorField, nu: float, du: np.ndarray) -> SymTensorField:
+    """nu lap S + sym grad du, for a u-form nonlinearity du on the retained box."""
+    g, r = S.grid, S.grid.retained
+    return SymTensorField(g, nu * laplacian(S).data + r.unpack(_sym_grad_raw(r, du)))
 
 
 def model_rhs(S: SymTensorField, nu: float) -> SymTensorField:
     """nu lap S - 2/3 P_st(S^2)."""
-    g = S.grid
-    nonlin = g.retained.unpack(_model_stage(g, S.real_samples()))
-    return SymTensorField(g, nu * laplacian(S).data + nonlin)
+    return _strain_rhs(S, nu, _model_stage(S.grid, S.real_samples()))
 
 
 def full_rhs(S: SymTensorField, nu: float) -> SymTensorField:
-    """nu lap S - P_st((u.grad)S + S^2 + omega x omega / 4)."""
-    return SymTensorField(S.grid, nu * laplacian(S).data + _nonlin_full(S).data)
+    """nu lap S - P_st((u.grad)S + S^2 + omega x omega / 4), evaluated as
+    nu lap S - sym grad P_df(omega x u) with u, omega recovered from S
+    (velocity_of checks the strain-space residual). The two forms agree to
+    roundoff while 3 cutoff <= n + 2; on more aliased grids the rotational
+    form is used."""
+    u = velocity_of(S)
+    lamb = _lamb_box(S.grid, u.real_samples(), vorticity_of(u).real_samples())
+    return _strain_rhs(S, nu, -lamb)
 
 
 def velocity_rhs(u: VectorField, nu: float) -> VectorField:
@@ -253,8 +253,9 @@ def _ifrk4(
 
 
 def step(state: StrainState, dt: float) -> StrainState:
-    """Advance one step of size dt; the result is re-projected onto the
-    strain space. Raises NonFiniteStateError on overflow.
+    """Advance one step of size dt in velocity variables; for full_strain, u
+    is recovered through the strain-space residual check (ConstraintError)
+    once per step. Raises NonFiniteStateError on overflow.
 
     The state must be dealiased (as make_state, step and read_checkpoint
     leave it): the stages run on the retained box only, so a state with
@@ -274,17 +275,22 @@ def step(state: StrainState, dt: float) -> StrainState:
     e_half = np.exp(-(state.params.nu * dt / 2.0) * r.k2)
     eq = state.params.equation
 
-    if eq == "model":
+    n1 = None
+    if eq == "full_strain":
+        uh = _velocity_checked_raw(r, sh)[0]
+        stage = lambda x: _full_stage(g, x)
+    elif eq == "model":
+        uh = _velocity_raw(r, sh)
         # the first stage reuses S's real samples (cfl_dt has memoized them)
         n1 = _model_stage(g, state.S.real_samples())
-        new = _ifrk4(sh, lambda x: _model_stage(g, _irfft_box(g, x)), e_half, dt, n1)
-    elif eq == "full_strain":
-        new = _ifrk4(sh, lambda x: _full_stage(g, x), e_half, dt)
-    else:  # velocity_ns: advance u, map back to the strain
+        stage = lambda x: _model_stage(g, _irfft_box(g, _sym_grad_raw(r, x)))
+    else:
+        uh = _velocity_raw(r, sh)
         stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
-        new = _sym_grad_raw(r, _ifrk4(_velocity_raw(r, sh), stage, e_half, dt))
-
-    new = _strain_project_raw(r, new)
+    # -2 div (-lap)^{-1} sym grad u = u + grad (-lap)^{-1}(-div u): unprojected,
+    # the roundoff gradient part of u would double every step
+    uh = _leray_raw(r, uh)
+    new = _sym_grad_raw(r, _ifrk4(uh, stage, e_half, dt, n1))
     if not np.all(np.isfinite(new)):
         raise NonFiniteStateError(f"non-finite state after step at t={state.t + dt}")
     return StrainState(
@@ -356,18 +362,12 @@ def run(
     with_ratio = p.equation == "full_strain"
     state = state0
 
-    E0 = diag.enstrophy(state.S)
-    f0 = diag.f_of(state.S, p.nu)
-    g0 = f0 / E0**1.5 if E0 > 0 else 0.0
-    r0 = f0 / (2.0 * E0) if E0 > 0 else 0.0
-    K0 = diag.energy(state.S)
-
     accums = {q: 0.0 for q in diag.Q_VALUES}
     samples: list[tuple[float, float, float, float]] = []  # (t, E, H1, detS)
     last_norms: dict[float, float] | None = None
     last_t = state.t
 
-    def emit(st: StrainState) -> None:
+    def emit(st: StrainState) -> dict:
         nonlocal last_norms, last_t
         vals = diag.sample_functionals(st.S, p.nu, with_ratio)
         norms = vals["lam2_norms"]
@@ -383,7 +383,7 @@ def run(
             for q in diag.Q_VALUES:
                 if math.isinf(diag.p_exponent(q)):
                     accums[q] = norms[q]
-        residuals = {k: vals[k] for k in ("res_orth", "res_vortdet", "res_isometry")}
+        residuals = {k: v for k, v in vals.items() if k.startswith("res_")}
         samples.append((st.t, vals["E"], vals["H1"], vals["detS"]))
         if len(samples) >= 3:
             # lagged one sample: three-point dE/dt centered on the previous record
@@ -411,8 +411,12 @@ def run(
         last_t = st.t
         if sink is not None:
             sink(rec)
+        return vals
 
-    emit(state)
+    v0 = emit(state)  # the t = 0 sample gives E0, f0 and K0
+    E0, f0, K0 = v0["E"], v0["f"], v0["K"]
+    g0 = f0 / E0**1.5 if E0 > 0 else 0.0
+    r0 = f0 / (2.0 * E0) if E0 > 0 else 0.0
 
     outcome = "resolved_to_t_end"
     steps = 0

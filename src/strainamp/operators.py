@@ -138,13 +138,13 @@ def _strain_residual_raw(grid: GridSpec, sh: np.ndarray) -> float:
 
 
 def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray, residual_tol: float = 1e-6):
-    """_velocity_raw after requiring S in the strain space (ConstraintError)."""
+    """(_velocity_raw, strain-space residual); ConstraintError above residual_tol."""
     res = _strain_residual_raw(grid, sh)
     if res > residual_tol:
         raise ConstraintError(
             f"strain-space residual {res:.3e} exceeds {residual_tol:.1e}"
         )
-    return _velocity_raw(grid, sh)
+    return _velocity_raw(grid, sh), res
 
 
 # -- interconversion -------------------------------------------------------
@@ -183,7 +183,7 @@ def strain_of(u: VectorField, div_tol: float = 1e-8) -> SymTensorField:
 def velocity_of(S: SymTensorField, residual_tol: float = 1e-6) -> VectorField:
     """Invert the strain: u = -2 div (-lap)^{-1} S, requiring S in the strain space."""
     sf = _as_spectral(S)
-    return VectorField(sf.grid, _velocity_checked_raw(sf.grid, sf.data, residual_tol))
+    return VectorField(sf.grid, _velocity_checked_raw(sf.grid, sf.data, residual_tol)[0])
 
 
 def vorticity_of(u: VectorField) -> VectorField:
@@ -208,50 +208,28 @@ def strain_project(M: SymTensorField) -> SymTensorField:
 # -- pointwise nonlinear products ------------------------------------------
 
 
-_sym_square_raw = _kernels.sym_square  # pointwise S^2 of real 6-component samples
-
-
-def _sym_outer_raw(v: np.ndarray) -> np.ndarray:
-    """Pointwise symmetric outer product v_i v_j of a real 3-component vector."""
-    return np.stack([v[i] * v[j] for (i, j) in SYM_PAIRS])
-
-
-def _advection_raw(grid: GridSpec, sh: np.ndarray, u_re: np.ndarray) -> np.ndarray:
-    """Real samples of (u . grad) S from spectral S and real u."""
-    acc = np.zeros((6,) + grid.real_shape)
-    for a in range(3):
-        acc += u_re[a] * _irfft_raw(grid, 1j * grid.kd[a] * sh)
-    return acc
-
-
 def _s_squared_box(grid: GridSpec, s_re: np.ndarray) -> np.ndarray:
     """Dealiased S^2 on the retained box, from real samples of S."""
-    return _rfft_retained_raw(grid, _sym_square_raw(s_re))
+    return _rfft_retained_raw(grid, _kernels.sym_square(s_re))
 
 
 def _sym_outer_box(grid: GridSpec, v_re: np.ndarray) -> np.ndarray:
     """Dealiased v_i v_j on the retained box, from real samples of v."""
-    return _rfft_retained_raw(grid, _sym_outer_raw(v_re))
+    return _rfft_retained_raw(grid, np.stack([v_re[i] * v_re[j] for i, j in SYM_PAIRS]))
 
 
-def _lamb_strain_box(grid: GridSpec, u_re: np.ndarray, w_re: np.ndarray) -> np.ndarray:
-    """sym grad P_df(omega x u) on the retained box, from real samples of u
-    and omega = curl u.
+def _lamb_box(grid: GridSpec, u_re: np.ndarray, w_re: np.ndarray) -> np.ndarray:
+    """P_df(omega x u) on the retained box, from real samples of u and
+    omega = curl u.
 
     For S = sym grad u, (u.grad)S + S^2 + omega x omega/4 = sym grad(omega x u)
     + Hess(|u|^2/2) + |omega|^2 I/4, and P_st annihilates Hessians and
-    multiples of I, so this is P_st((u.grad)S + S^2 + omega x omega/4) at 3
-    products and one 3-component forward transform. Exact to roundoff while
+    multiples of I, so sym grad of this is that sum's P_st part, at 3 products
+    and one 3-component forward transform. Exact to roundoff while
     3 cutoff <= n + 2 (the 2/3 rule); beyond, both forms alias differently."""
     pairs = ((1, 2), (2, 0), (0, 1))
     lamb = np.stack([w_re[i] * u_re[j] - w_re[j] * u_re[i] for i, j in pairs])
-    r = grid.retained
-    return _sym_grad_raw(r, _leray_raw(r, _rfft_retained_raw(grid, lamb)))
-
-
-def _lamb_strain_raw(grid: GridSpec, u: VectorField, w: VectorField) -> np.ndarray:
-    """_lamb_strain_box on the full layout, from spectral u and omega."""
-    return grid.retained.unpack(_lamb_strain_box(grid, u.real_samples(), w.real_samples()))
+    return _leray_raw(grid.retained, _rfft_retained_raw(grid, lamb))
 
 
 def s_squared(S: SymTensorField) -> SymTensorField:
@@ -269,7 +247,8 @@ def omega_outer(omega: VectorField) -> SymTensorField:
 def advection_term(u: VectorField, S: SymTensorField) -> SymTensorField:
     """(u . grad) S: spectral derivatives of S, products in real space, dealiased."""
     g = S.grid
-    acc = _advection_raw(g, _as_spectral(S).data, u.real_samples())
+    sh, u_re = _as_spectral(S).data, u.real_samples()
+    acc = sum(u_re[a] * _irfft_raw(g, 1j * g.kd[a] * sh) for a in range(3))
     return SymTensorField(g, g.retained.unpack(_rfft_retained_raw(g, acc)))
 
 
@@ -318,8 +297,10 @@ def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ok = need & (np.abs(fp) > 1e-30)
         return np.where(ok, lam - f / np.where(ok, fp, 1.0), lam)
 
-    lams = np.sort(np.stack([polish(l1), polish(l2), polish(l3)]), axis=0)
-    return lams[0], lams[1], lams[2]
+    # near a repeated root, l2 = 3q - l1 - l3 or the polish can stray out of order
+    l1, l2, l3 = polish(l1), polish(l2), polish(l3)
+    lo, hi = np.minimum(l1, l2), np.maximum(l1, l2)
+    return np.minimum(lo, l3), np.maximum(lo, np.minimum(hi, l3)), np.maximum(hi, l3)
 
 
 def eig_symtensor(m: np.ndarray) -> EigenTriple:

@@ -26,7 +26,7 @@ from strainamp.fields import SymTensorField, VectorField, l2_inner, l2_norm_sq
 from strainamp.grid import GridSpec
 from strainamp.initdata import colliding_jets, random_solenoidal
 from strainamp.operators import strain_of, velocity_of, vorticity_of
-from strainamp.spectral import heat_semigroup
+from strainamp.spectral import heat_semigroup, laplacian
 
 
 def params(equation="model", **kw):
@@ -59,9 +59,29 @@ class TestTransformCounts:
         assert fft_counts == {"fwd": fwd, "inv": inv}
 
 
+class TestResidualChecks:
+    # the velocity is recovered through the strain-space residual check
+    # once per step, not once per stage
+    @pytest.mark.parametrize("equation, calls", [("full_strain", 1), ("model", 0)])
+    def test_one_check_per_step(self, monkeypatch, equation, calls):
+        from strainamp import operators
+
+        st = random_state(GridSpec(16, 16.0), 3, equation=equation)
+        seen = []
+        orig = operators._strain_residual_raw
+        monkeypatch.setattr(
+            operators,
+            "_strain_residual_raw",
+            lambda *a: seen.append(1) or orig(*a),
+        )
+        step(st, 1e-3)
+        assert len(seen) == calls
+
+
 class TestLambForm:
-    # the stage -sym grad P_df(omega x u) against the triple form built from
-    # the public operators; exact to roundoff while 3 * cutoff <= n + 2
+    # full_rhs's nonlinearity -sym grad P_df(omega x u) against the triple
+    # form built from the public operators; exact to roundoff while
+    # 3 * cutoff <= n + 2
     @pytest.mark.parametrize(
         "n, seed, fraction",
         [(16, 1, 2 / 3), (16, 2, 2 / 3), (32, 1, 2 / 3), (32, 2, 2 / 3), (32, 3, 0.7)],
@@ -86,7 +106,8 @@ class TestLambForm:
             + 0.25 * omega_outer(vorticity_of(u)).data,
         )
         ref = -strain_project(triple).data
-        got = dynamics._nonlin_full(S).data
+        nu = params().nu
+        got = full_rhs(S, nu).data - nu * laplacian(S).data
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -184,7 +205,7 @@ class TestStep:
         # disable the nonlinearity: the integrating factor is then exact
         g = GridSpec(16, 16.0)
         st = random_state(g, 5)
-        zero = lambda grid, s_re: np.zeros((6,) + grid.retained.shape, dtype=complex)
+        zero = lambda grid, s_re: np.zeros((3,) + grid.retained.shape, dtype=complex)
         monkeypatch.setattr(dynamics, "_model_stage", zero)
         out = step(st, 5e-3)
         exact = heat_semigroup(st.S, 1.0 * 5e-3)
@@ -384,6 +405,58 @@ class TestRun:
                 if a.ratio <= 2.0 and b.ratio <= 2.0:
                     assert b.f >= a.f - 1e-6 * max(1.0, abs(a.f))
 
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    @pytest.mark.parametrize("jets", [False, True])
+    def test_report_from_first_record(self, monkeypatch, equation, jets):
+        # E0, f0 and K0 come from the t = 0 sample, not from a second pass
+        g = GridSpec(16, 16.0)
+        p = params(equation, t_end=5e-4, dt_max=1e-3)
+        if jets:  # twice the amplitude at which f0 turns positive
+            S1 = make_state(strain_of(colliding_jets(g, 1.0)), 0.0, p).S
+            m = 2.0 * 3.0 * diag.hs_norm_sq(S1, 1.0) / (-4.0 * diag.det_integral(S1))
+            S0 = strain_of(colliding_jets(g, m))
+        else:
+            S0 = strain_of(random_solenoidal(g, 19, amplitude=2.0))
+        st = make_state(S0, 0.0, p)
+
+        def boom(*a, **k):
+            raise AssertionError("recomputed a t = 0 functional")
+
+        for name in ("enstrophy", "f_of", "energy"):
+            monkeypatch.setattr(diag, name, boom)
+        records = []
+        report = run(st, records.append)
+        E0, f0, K0 = records[0].E, records[0].f, records[0].K
+        assert report.f0 == f0
+        assert report.g0 == f0 / E0**1.5
+        assert report.r0 == f0 / (2.0 * E0)
+        assert (f0 > 0) == jets
+        if jets:
+            assert report.t_star_perturbative == (-E0 + math.sqrt(E0**2 + f0 * K0)) / f0
+        else:
+            assert report.t_star_perturbative is None
+
+
+class TestConstraintMonitor:
+    # the stepper does not re-project: the strain-space residual it leaves
+    # is monitored on every record and must stay at roundoff
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_res_constraint_stays_at_roundoff(self, equation):
+        from strainamp.operators import strain_space_residual
+
+        g = GridSpec(16, 16.0)
+        S0 = strain_of(random_solenoidal(g, 20, slope=-8.0, amplitude=3.0))
+        p = params(equation, t_end=0.06, dt_max=1e-3, output_every=1)
+        records = []
+        run(make_state(S0, 0.0, p), records.append)
+        assert len(records) >= 61
+        for r in records:
+            assert r.to_json_dict()["res_constraint"] <= 1e-12, r.t
+        st = make_state(S0, 0.0, p)
+        for _ in range(60):
+            st = step(st, 1e-3)
+        assert strain_space_residual(st.S) <= 1e-12
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -497,7 +570,7 @@ class TestRecordContract:
             "t", "E", "K", "H1", "detS", "trS3", "g", "f",
             "lam2_q1.5", "lam2_q2", "lam2_q3", "lam2_qinf",
             "acc_q1.5", "acc_q2", "acc_q3", "acc_qinf",
-            "ratio", "res_orth", "res_vortdet", "res_isometry",
+            "ratio", "res_orth", "res_vortdet", "res_isometry", "res_constraint",
         ]
         # first record: no res_enstrophy yet (needs three samples)
         assert list(first.keys()) == base

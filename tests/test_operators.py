@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from strainamp.fields import (
+    SYM_PAIRS,
     ScalarField,
     SymTensorField,
     VectorField,
@@ -373,6 +374,44 @@ class TestEigenvalues:
         t = eig_symtensor(m)
         assert t.lambda1 <= t.lambda2 <= t.lambda3
         assert t.lambda2 == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_stacked_against_eigvalsh(self):
+        # ordered roots at every point of stacked random, zero, multiple-of-I,
+        # repeated and near-repeated eigenvalue matrices. A double root is
+        # conditioned like sqrt(eps): the arccos near +-1 gives it ~1e-8 ||m||.
+        from strainamp.operators import _eig3_raw
+
+        rng = np.random.default_rng(21)
+        k = 512
+
+        def rotated(d):
+            q, _ = np.linalg.qr(rng.standard_normal((k, 3, 3)))
+            return q @ (d[:, :, None] * np.eye(3)) @ q.transpose(0, 2, 1)
+
+        a, b = rng.standard_normal(k), rng.standard_normal(k)
+        m = rng.standard_normal((k, 3, 3))
+        exact = np.concatenate(
+            [
+                0.5 * (m + m.transpose(0, 2, 1)),
+                np.zeros((k, 3, 3)),
+                a[:, None, None] * np.eye(3),
+            ]
+        )
+        repeated = np.concatenate(
+            [
+                rotated(np.stack([a, a, b], axis=1)),
+                rotated(np.stack([a, a, -2.0 * a], axis=1)),
+                rotated(np.stack([a, a * (1 + 1e-13), a * (1 - 1e-13)], axis=1)),
+                rotated(np.stack([a, a * (1 + 1e-9), b], axis=1)),
+            ]
+        )
+        for mats, tol in ((exact, 1e-12), (repeated, 1e-7)):
+            l1, l2, l3 = _eig3_raw([mats[:, i, j] for i, j in SYM_PAIRS])
+            assert np.all(l1 <= l2) and np.all(l2 <= l3)
+            err = np.abs(np.stack([l1, l2, l3], axis=1) - np.linalg.eigvalsh(mats))
+            norm = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
+            assert np.all(err <= tol * norm[:, None])
 
 
 class TestLambdaFields:

@@ -1,10 +1,12 @@
 """The retained-mode box, and the stepper and diagnostics sample that run on it.
 
-The stepper oracle below is the full-layout IF-RK4 step written out with
-the full-grid `_raw` helpers, mask-multiplied forward transforms and
-velocity_of; the box stepper must reproduce it bit for bit. The sample
-oracle is the diagnostics sample written out on the full layout; the box
-sample must reproduce it to roundoff.
+The stepper oracle below is the full-layout IF-RK4 step in velocity
+variables written out with the full-grid `_raw` helpers, mask-multiplied
+forward transforms and velocity_of; the box stepper must reproduce it bit
+for bit. A second reference advances S itself, with the stage and post-step
+strain projections the velocity form does without; the two schemes are the
+same up to roundoff. The sample oracle is the diagnostics sample written
+out on the full layout; the box sample must reproduce it to roundoff.
 """
 
 import math
@@ -30,11 +32,11 @@ from strainamp.fields import (
     VectorField,
     l2_inner,
 )
-from strainamp.grid import GridSpec, rfft_raw
+from strainamp.grid import GridSpec, irfft_raw, rfft_raw
 from strainamp.initdata import random_solenoidal
 from strainamp.operators import (
+    _curl_raw,
     _div_sym_raw,
-    _lamb_strain_raw,
     _leray_raw,
     _strain_project_raw,
     _sym_grad_raw,
@@ -42,6 +44,7 @@ from strainamp.operators import (
     s_squared,
     strain_of,
     strain_project,
+    strain_space_residual,
     velocity_of,
     vorticity_of,
 )
@@ -59,56 +62,95 @@ def _masked_rfft(g, a):
     return out
 
 
-def _oracle_nonlin(g, equation):
+def _square(s_re):
+    xx, xy, xz, yy, yz, zz = s_re
+    return np.stack(
+        [
+            xx * xx + xy * xy + xz * xz,
+            xx * xy + xy * yy + xz * yz,
+            xx * xz + xy * yz + xz * zz,
+            xy * xy + yy * yy + yz * yz,
+            xy * xz + yy * yz + yz * zz,
+            xz * xz + yz * yz + zz * zz,
+        ]
+    )
+
+
+def _lamb(ur, wr):
+    return np.stack(
+        [
+            wr[1] * ur[2] - wr[2] * ur[1],
+            wr[2] * ur[0] - wr[0] * ur[2],
+            wr[0] * ur[1] - wr[1] * ur[0],
+        ]
+    )
+
+
+def _ifrk4(xh, nonlin, n1, e_half, dt):
+    e_full = e_half * e_half
+    n2 = nonlin(e_half * (xh + (dt / 2.0) * n1))
+    n3 = nonlin(e_half * xh + (dt / 2.0) * n2)
+    n4 = nonlin(e_full * xh + dt * (e_half * n3))
+    return e_full * xh + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+
+
+def _oracle_step(state, dt):
+    """One step in velocity variables: u = P_df(-2 div (-lap)^{-1} S), four
+    stages on u, S = sym grad u; the model's first stage takes S's samples."""
+    g, p = state.S.grid, state.params
+
+    def model_of_samples(s_re):
+        return -(2.0 / 3.0) * _leray_raw(g, _velocity_raw(g, _masked_rfft(g, _square(s_re))))
+
+    def model(uh):
+        return model_of_samples(irfft_raw(g, _sym_grad_raw(g, uh)))
+
+    def full(uh):
+        ur, wr = irfft_raw(g, uh), irfft_raw(g, _curl_raw(g, uh))
+        return -_leray_raw(g, _masked_rfft(g, _lamb(ur, wr)))
+
+    def velocity(uh):
+        ur = irfft_raw(g, uh)
+        th = _masked_rfft(g, np.stack([ur[i] * ur[j] for i, j in SYM_PAIRS]))
+        return -_leray_raw(g, _div_sym_raw(g, th))
+
+    if p.equation == "full_strain":
+        uh = velocity_of(state.S).data
+    else:
+        uh = _velocity_raw(g, state.S.data)
+    uh = _leray_raw(g, uh)
+    nonlin = {"model": model, "full_strain": full, "velocity_ns": velocity}[p.equation]
+    n1 = model_of_samples(state.S.real_samples()) if p.equation == "model" else nonlin(uh)
+    e_half = np.exp(-(p.nu * dt / 2.0) * g.k2)
+    return SymTensorField(g, _sym_grad_raw(g, _ifrk4(uh, nonlin, n1, e_half, dt)))
+
+
+def _strain_form_step(state, dt):
+    """One step advancing S (u for velocity_ns), with the strain projection
+    in every stage and after the step."""
+    g, p = state.S.grid, state.params
+
     def model(S):
-        xx, xy, xz, yy, yz, zz = S.real_samples()
-        sq = np.stack(
-            [
-                xx * xx + xy * xy + xz * xz,
-                xx * xy + xy * yy + xz * yz,
-                xx * xz + xy * yz + xz * zz,
-                xy * xy + yy * yy + yz * yz,
-                xy * xz + yy * yz + yz * zz,
-                xz * xz + yz * yz + zz * zz,
-            ]
-        )
-        return -(2.0 / 3.0) * _strain_project_raw(g, _masked_rfft(g, sq))
+        return -(2.0 / 3.0) * _strain_project_raw(g, _masked_rfft(g, _square(S.real_samples())))
 
     def full(S):
         u = velocity_of(S)
         ur, wr = u.real_samples(), vorticity_of(u).real_samples()
-        lamb = np.stack(
-            [
-                wr[1] * ur[2] - wr[2] * ur[1],
-                wr[2] * ur[0] - wr[0] * ur[2],
-                wr[0] * ur[1] - wr[1] * ur[0],
-            ]
-        )
-        return -_sym_grad_raw(g, _leray_raw(g, _masked_rfft(g, lamb)))
+        return -_sym_grad_raw(g, _leray_raw(g, _masked_rfft(g, _lamb(ur, wr))))
 
     def velocity(u):
         ur = u.real_samples()
         th = _masked_rfft(g, np.stack([ur[i] * ur[j] for i, j in SYM_PAIRS]))
         return -_leray_raw(g, _div_sym_raw(g, th))
 
-    return {"model": model, "full_strain": full, "velocity_ns": velocity}[equation]
-
-
-def _oracle_step(state, dt):
-    g, p = state.S.grid, state.params
-    nonlin = _oracle_nonlin(g, p.equation)
+    nonlin = {"model": model, "full_strain": full, "velocity_ns": velocity}[p.equation]
     if p.equation == "velocity_ns":
         x0 = VectorField(g, _velocity_raw(g, state.S.data))
     else:
         x0 = state.S
-    make, xh = type(x0), x0.data
+    make = type(x0)
     e_half = np.exp(-(p.nu * dt / 2.0) * g.k2)
-    e_full = e_half * e_half
-    n1 = nonlin(x0)
-    n2 = nonlin(make(g, e_half * (xh + (dt / 2.0) * n1)))
-    n3 = nonlin(make(g, e_half * xh + (dt / 2.0) * n2))
-    n4 = nonlin(make(g, e_full * xh + dt * (e_half * n3)))
-    new = e_full * xh + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+    new = _ifrk4(x0.data, lambda x: nonlin(make(g, x)), nonlin(x0), e_half, dt)
     if p.equation == "velocity_ns":
         new = _sym_grad_raw(g, new)
     return SymTensorField(g, _strain_project_raw(g, new))
@@ -130,6 +172,19 @@ class TestBoxStepperOracle:
                 np.testing.assert_allclose(st.S.data, ref.data, rtol=0, atol=tol)
             else:
                 assert np.array_equal(st.S.data, ref.data)
+
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    @pytest.mark.parametrize("n, fraction", GRIDS)
+    def test_matches_strain_form_step(self, n, fraction, equation):
+        g = GridSpec(n, 16.0, fraction)
+        S0 = strain_of(random_solenoidal(g, 7, amplitude=3.0))
+        st = make_state(S0, 0.0, SimParams(nu=0.5, equation=equation))
+        ref = st.S
+        for _ in range(3):
+            st = step(st, 2e-3)
+            ref = _strain_form_step(StrainState(ref, 0.0, st.params), 2e-3)
+            tol = 1e-13 * np.abs(ref.data).max()
+            np.testing.assert_allclose(st.S.data, ref.data, rtol=0, atol=tol)
 
 
 # -- the diagnostics sample on the box ------------------------------------------------
@@ -155,7 +210,8 @@ def _oracle_sample(S, nu, with_ratio):
     f = -3.0 * nu * h1 - 4.0 * det
     u = velocity_of(S)
     w = vorticity_of(u)
-    A = _lamb_strain_raw(g, u, w)
+    lamb = _lamb(u.real_samples(), w.real_samples())
+    A = _sym_grad_raw(g, _leray_raw(g, _masked_rfft(g, lamb)))
     B = strain_project(s_squared(S)).data
     term = SymTensorField(g, A - (2.0 / 3.0) * B)
     nt, ns = math.sqrt(l2_inner(term, term)), math.sqrt(e)
@@ -187,6 +243,7 @@ def _oracle_sample(S, nu, with_ratio):
         "ratio": nt / math.sqrt(l2_inner(kept, kept)) if with_ratio else None,
         "res_vortdet": abs(pair * g.cell_volume + 4.0 * det) / (ns * wl4_sq + 1e-30),
         "res_isometry": iso,
+        "res_constraint": strain_space_residual(S),
     }
 
 
@@ -200,7 +257,7 @@ def _assert_sample_matches(vals, ref):
         assert abs(vals["ratio"] - ref["ratio"]) <= 1e-14 * ref["ratio"]
     for key in ("detS", "trS3", "lam2_norms"):
         assert vals[key] == ref[key], key
-    for key in ("res_orth", "res_vortdet", "res_isometry"):
+    for key in ("res_orth", "res_vortdet", "res_isometry", "res_constraint"):
         assert abs(vals[key] - ref[key]) <= 1e-15, key
 
 
