@@ -328,8 +328,19 @@ def perturbative_ratio(S: SymTensorField, nu: float) -> float:
     return _orth_and_ratio(b, nu)[1]
 
 
+def _identity_residual(row0, row1, row2, nu: float) -> float:
+    """Relative residual of dE/dt = -2 nu ||S||^2_{H^1} - 4 int det(S) at the
+    middle of three (t, E, H1, detS) rows. dE/dt is the three-point
+    derivative for unequal spacing, exact on parabolas."""
+    (t0, e0, _, _), (t1, e1, h1, d1), (t2, e2, _, _) = row0, row1, row2
+    a, b = t1 - t0, t2 - t1
+    dedt = -b / (a * (a + b)) * e0 + (b - a) / (a * b) * e1 + a / (b * (a + b)) * e2
+    rhs = -2.0 * nu * h1 - 4.0 * d1
+    return abs(dedt - rhs) / max(abs(rhs), _EPS)
+
+
 def enstrophy_identity_residual(samples, nu: float) -> float:
-    """Centered-difference dE/dt against -2 nu ||S||^2_{H^1} - 4 int det(S).
+    """Three-point dE/dt against -2 nu ||S||^2_{H^1} - 4 int det(S).
 
     `samples` is a sequence of at least three equally spaced records (or
     (t, E, H1, detS) tuples); the residual is evaluated at the middle sample.
@@ -340,14 +351,11 @@ def enstrophy_identity_residual(samples, nu: float) -> float:
     ]
     if len(rows) < 3:
         raise ValueError("need at least 3 consecutive samples")
-    ts = np.array([r[0] for r in rows])
-    dts = np.diff(ts)
+    dts = np.diff([r[0] for r in rows])
     if np.any(np.abs(dts - dts[0]) > 1e-9 * max(abs(dts[0]), 1e-300)):
         raise ValueError("samples must be equally spaced in time")
     i = len(rows) // 2
-    dedt = (rows[i + 1][1] - rows[i - 1][1]) / (ts[i + 1] - ts[i - 1])
-    rhs = -2.0 * nu * rows[i][2] - 4.0 * rows[i][3]
-    return abs(dedt - rhs) / max(abs(rhs), _EPS)
+    return _identity_residual(*rows[i - 1 : i + 2], nu)
 
 
 # -- envelope and membership ------------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from . import diagnostics as diag
 from .fields import SYM_WEIGHTS, SymTensorField, VectorField
 from .grid import GridSpec, irfft_retained_raw as _irfft_box
@@ -97,12 +96,12 @@ class SimParams:
     output_every: int = 10
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if self.equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0 < self.dt_min < self.dt_max:
@@ -228,23 +227,6 @@ def _ifrk4(
     """
     if n1 is None:
         n1 = nonlin(xh)
-    if _kernels.HAVE_NUMBA:
-        flat = lambda a: a.reshape(a.shape[0], -1)
-        eh = e_half.ravel()
-        u2 = np.empty_like(xh)
-        _kernels._rk_stage2(flat(xh), flat(n1), eh, dt / 2.0, flat(u2))
-        n2 = nonlin(u2)
-        u3 = np.empty_like(xh)
-        _kernels._rk_stage3(flat(xh), flat(n2), eh, dt / 2.0, flat(u3))
-        n3 = nonlin(u3)
-        u4 = np.empty_like(xh)
-        _kernels._rk_stage4(flat(xh), flat(n3), eh, dt, flat(u4))
-        n4 = nonlin(u4)
-        out = np.empty_like(xh)
-        _kernels._rk_final(
-            flat(xh), flat(n1), flat(n2), flat(n3), flat(n4), eh, dt / 6.0, flat(out)
-        )
-        return out
     e_full = e_half * e_half
     n2 = nonlin(e_half * (xh + (dt / 2.0) * n1))
     n3 = nonlin(e_half * xh + (dt / 2.0) * n2)
@@ -307,13 +289,9 @@ def cfl_dt(state: StrainState) -> float:
     s_re = state.S.real_samples()
     r = g.retained
     u_re = _irfft_box(g, _velocity_raw(r, r.pack(state.S.data)))
-    if _kernels.HAVE_NUMBA:
-        s_inf = float(np.sqrt(_kernels._max_frobenius_sq(s_re.reshape(6, -1))))
-        u_inf = float(np.sqrt(_kernels._max_vector_sq(u_re.reshape(3, -1))))
-    else:
-        w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
-        s_inf = float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * w6, s_re))))
-        u_inf = float(np.sqrt(np.max(np.sum(u_re * u_re, axis=0))))
+    w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
+    s_inf = float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * w6, s_re))))
+    u_inf = float(np.sqrt(np.max(np.sum(u_re * u_re, axis=0))))
     return min(
         p.dt_max,
         p.cfl * g.dx / max(1.0, u_inf),
@@ -387,12 +365,7 @@ def run(
         samples.append((st.t, vals["E"], vals["H1"], vals["detS"]))
         if len(samples) >= 3:
             # lagged one sample: three-point dE/dt centered on the previous record
-            t2, e2, _, _ = samples[-1]
-            t1, e1, h1, d1 = samples[-2]
-            t0_, e0_, _, _ = samples[-3]
-            dedt = _nonuniform_dedt(t0_, e0_, t1, e1, t2, e2)
-            rhs = -2.0 * p.nu * h1 - 4.0 * d1
-            residuals["res_enstrophy"] = abs(dedt - rhs) / max(abs(rhs), 1e-30)
+            residuals["res_enstrophy"] = diag._identity_residual(*samples[-3:], p.nu)
         rec = diag.DiagnosticsRecord(
             t=st.t,
             E=vals["E"],
@@ -478,17 +451,6 @@ def run(
     )
 
 
-def _nonuniform_dedt(t0, e0, t1, e1, t2, e2) -> float:
-    """Three-point derivative at t1 for unequal spacing (exact on parabolas)."""
-    h1 = t1 - t0
-    h2 = t2 - t1
-    return (
-        -h2 / (h1 * (h1 + h2)) * e0
-        + (h2 - h1) / (h1 * h2) * e1
-        + h1 / (h2 * (h1 + h2)) * e2
-    )
-
-
 # -- checkpointing -----------------------------------------------------------------
 
 
@@ -534,10 +496,18 @@ def read_checkpoint(
             raise CheckpointError(f"unknown equation code {code}")
         if n % 2 != 0 or n < 8 or n > 4096:
             raise CheckpointError(f"implausible grid size n={n}")
+        for name, val in (("L", box_length), ("t", t), ("nu", nu)):
+            if not math.isfinite(val):
+                raise CheckpointError(f"non-finite header value {name}={val}")
         count = 6 * n**3
         raw = np.fromfile(fh, dtype="<f8", count=count)
         if raw.size != count:
             raise CheckpointError("truncated checkpoint payload")
+    # min and max are NaN or infinite exactly when some sample is, and
+    # allocate no mask the size of the payload
+    if not (math.isfinite(raw.min()) and math.isfinite(raw.max())):
+        c = int(np.flatnonzero(~np.isfinite(raw))[0]) // n**3
+        raise CheckpointError(f"non-finite payload sample in component {c}")
     grid = GridSpec(int(n), box_length, dealias_fraction)
     comps = raw.reshape(6, n**3)
     data = np.stack(

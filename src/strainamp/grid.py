@@ -259,9 +259,9 @@ class RetainedModes:
     the halved axis m = 0..c-1. A dealiased field is exactly zero outside the
     box, so mode-by-mode operators give the same values on the packed array
     as on the full layout. The box carries the multiplier arrays those
-    operators read (kd, kd1, kd1_half, kd2, inv_kd2, k2, hermitian_weight,
-    tail_mask, box_length), each equal to the packed GridSpec array, so the
-    `_raw` helpers accept it in place of a grid.
+    operators read (kd, kd2, inv_kd2, k2, hermitian_weight, tail_mask,
+    box_length), each equal to the packed GridSpec array, so the `_raw`
+    helpers accept it in place of a grid.
     """
 
     def __init__(self, grid: GridSpec) -> None:
@@ -281,13 +281,8 @@ class RetainedModes:
             (slice(None), slice(c, n - c + 1), slice(None)),
             (slice(None), slice(None), slice(c, None)),
         )
-        self.kd1 = np.concatenate([grid.kd1[lo], grid.kd1[hi]])
-        self.kd1_half = grid.kd1_half[:c].copy()
-        self.kd = (
-            self.kd1[:, None, None],
-            self.kd1[None, :, None],
-            self.kd1_half[None, None, :],
-        )
+        kd1 = np.concatenate([grid.kd1[lo], grid.kd1[hi]])
+        self.kd = (kd1[:, None, None], kd1[None, :, None], grid.kd1_half[None, None, :c])
         self.kd2 = self.pack(grid.kd2)
         self.inv_kd2 = self.pack(grid.inv_kd2)
         self.k2 = self.pack(grid.k2)

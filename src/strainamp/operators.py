@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .fields import SYM_PAIRS, ScalarField, SymTensorField, VectorField, _mode_sum
 from .grid import (
     GridSpec,
@@ -105,8 +104,6 @@ def _leray_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
 
 def _strain_project_raw(grid: GridSpec, mh: np.ndarray) -> np.ndarray:
     """P_st M = sym_grad(-2 (-lap)^{-1} P_df div M), all with kappa wavenumbers."""
-    if _kernels.HAVE_NUMBA:
-        return _kernels.strain_project_apply(grid, mh)
     wh = -2.0 * grid.inv_kd2 * _div_sym_raw(grid, mh)
     return _sym_grad_raw(grid, _leray_raw(grid, wh))
 
@@ -138,9 +135,10 @@ def _strain_residual_raw(grid: GridSpec, sh: np.ndarray) -> float:
 
 
 def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray, residual_tol: float = 1e-6):
-    """(_velocity_raw, strain-space residual); ConstraintError above residual_tol."""
+    """(_velocity_raw, strain-space residual); ConstraintError above
+    residual_tol or when the residual is NaN."""
     res = _strain_residual_raw(grid, sh)
-    if res > residual_tol:
+    if not res <= residual_tol:
         raise ConstraintError(
             f"strain-space residual {res:.3e} exceeds {residual_tol:.1e}"
         )
@@ -208,9 +206,26 @@ def strain_project(M: SymTensorField) -> SymTensorField:
 # -- pointwise nonlinear products ------------------------------------------
 
 
+# component c of S^2 is s[a]*s[b] + s[p]*s[q] + s[x]*s[y], summed in that order
+_SYM_SQUARE_TERMS = (
+    ((0, 0), (1, 1), (2, 2)),
+    ((0, 1), (1, 3), (2, 4)),
+    ((0, 2), (1, 4), (2, 5)),
+    ((1, 1), (3, 3), (4, 4)),
+    ((1, 2), (3, 4), (4, 5)),
+    ((2, 2), (4, 4), (5, 5)),
+)
+
+
 def _s_squared_box(grid: GridSpec, s_re: np.ndarray) -> np.ndarray:
     """Dealiased S^2 on the retained box, from real samples of S."""
-    return _rfft_retained_raw(grid, _kernels.sym_square(s_re))
+    sq = np.empty_like(s_re)
+    tmp = np.empty_like(s_re[0])
+    for o, ((a, b), (p, q), (x, y)) in zip(sq, _SYM_SQUARE_TERMS):
+        np.multiply(s_re[a], s_re[b], out=o)
+        o += np.multiply(s_re[p], s_re[q], out=tmp)
+        o += np.multiply(s_re[x], s_re[y], out=tmp)
+    return _rfft_retained_raw(grid, sq)
 
 
 def _sym_outer_box(grid: GridSpec, v_re: np.ndarray) -> np.ndarray:

@@ -156,6 +156,26 @@ class TestCmdRun:
         st = read_checkpoint(str(out) + ".ckpt")
         assert st.t > 0
 
+    def test_non_finite_checkpoint_exit_2(self, tmp_path, capsys):
+        from strainamp.dynamics import SimParams, make_state, write_checkpoint
+
+        g = GridSpec(16, 16.0)
+        S = strain_of(colliding_jets(g, 1.0))
+        ckpt = tmp_path / "nan.ckpt"
+        write_checkpoint(str(ckpt), make_state(S, 0.0, SimParams(1.0, "model")))
+        with open(ckpt, "r+b") as fh:
+            fh.seek(39)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        out = tmp_path / "out.jsonl"
+        cfgfile = write_config(
+            tmp_path,
+            f"kind = from_checkpoint\npath = {ckpt}\nequation = model\nn = 16\n"
+            f"box_length = 16.0\nt_end = 0.01\noutput_path = {out}\n",
+        )
+        assert cli.main(["run", cfgfile]) == 2
+        assert "non-finite payload sample" in capsys.readouterr().err
+        assert out.read_text() == ""
+
 
 class TestCmdVerify:
     def test_quick_passes(self, capsys):

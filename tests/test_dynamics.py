@@ -121,6 +121,11 @@ class TestSimParams:
             SimParams(nu=1.0, equation="model", cfl=1.5)
         with pytest.raises(ValueError):
             SimParams(nu=1.0, equation="model", dt_min=1.0, dt_max=0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="nu"):
+                SimParams(nu=bad, equation="model")
+            with pytest.raises(ValueError, match="t_end"):
+                SimParams(nu=1.0, equation="model", t_end=bad)
 
     def test_local_existence_constant(self):
         # (3 (2 pi)^{3/4} / 32)^4, about 1.92e-2
@@ -506,6 +511,21 @@ class TestCheckpoint:
         code = blob[38]
         assert (n, L, t, nu, code) == (16, 4.0, 0.25, 1.0, 1)
         assert len(blob) == 39 + 6 * 16**3 * 8
+
+    @pytest.mark.parametrize(
+        "offset, named",
+        [(39 + 8 * 1000, "payload sample in component 0"), (30, "nu=nan")],
+    )
+    def test_non_finite_value_named(self, tmp_path, offset, named):
+        # offset 30 is nu in the 39-byte header, beyond it the payload
+        g = GridSpec(16, 16.0)
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, random_state(g, 18))
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match=named):
+            read_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         g = GridSpec(16, 16.0)

@@ -132,6 +132,14 @@ class TestVelocityOf:
         with pytest.raises(ConstraintError):
             velocity_of(h)
 
+    def test_rejects_nan_coefficient(self):
+        # a NaN residual compares False against the tolerance
+        g = GridSpec(16, 16.0)
+        S = strain_of(random_solenoidal(g, 0))
+        S.data[0, 1, 2, 3] = np.nan
+        with pytest.raises(ConstraintError, match="nan"):
+            velocity_of(S)
+
 
 class TestVorticityOf:
     def test_constant_velocity(self):

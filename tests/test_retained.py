@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from strainamp import _kernels
 from strainamp import diagnostics as diag
 from strainamp.dynamics import (
     SimParams,
@@ -167,11 +166,7 @@ class TestBoxStepperOracle:
         for _ in range(3):
             st = step(st, 2e-3)
             ref = _oracle_step(StrainState(ref, 0.0, st.params), 2e-3)
-            if _kernels.HAVE_NUMBA:  # fused kernels round differently
-                tol = 1e-13 * np.abs(ref.data).max()
-                np.testing.assert_allclose(st.S.data, ref.data, rtol=0, atol=tol)
-            else:
-                assert np.array_equal(st.S.data, ref.data)
+            assert np.array_equal(st.S.data, ref.data)
 
     @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
     @pytest.mark.parametrize("n, fraction", GRIDS)

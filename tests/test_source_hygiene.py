@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -22,6 +23,29 @@ def unused_imports(tree: ast.Module) -> list[str]:
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in bound.items()
                   if name not in used)
+
+
+# the dependencies pyproject.toml declares; anything else would be an
+# optional import that the tests and the benchmark never run
+DECLARED = {"numpy", "scipy"}
+
+
+def undeclared_imports(tree: ast.Module) -> list[str]:
+    """Absolute imports of top-level packages outside the standard library
+    and DECLARED."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in DECLARED:
+                found.append(f"{name} (line {node.lineno})")
+    return found
 
 
 def _private_defs(tree: ast.Module) -> dict[str, int]:
@@ -71,6 +95,25 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau as t\nprint(os.sep, t)\n")
     assert unused_imports(tree) == ["pi (line 2)"]
+
+
+def test_imports_only_declared_dependencies():
+    found = {p.name: undeclared_imports(ast.parse(p.read_text()))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_detects_undeclared_import():
+    tree = ast.parse(
+        "import os, numba\nimport numpy.linalg\nfrom scipy import fft\n"
+        "from numba.core import types\nfrom . import grid\n"
+        "try:\n    import cupy as cp\nexcept ImportError:\n    cp = None\n"
+    )
+    assert undeclared_imports(tree) == [
+        "numba (line 1)",
+        "numba.core (line 4)",
+        "cupy (line 7)",
+    ]
 
 
 def test_no_dead_private_names():
