@@ -8,7 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .config import ConfigError, RunConfig, parse_config, parse_sweep_config
-from .diagnostics import envelope_check
+from .diagnostics import RECORD_KEYS, envelope_check
 from .dynamics import make_state, run
 from .grid import fft_workers
 from .initdata import initial_strain
@@ -119,15 +119,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_NUMERIC_KEYS = (
-    ["t", "E", "K", "H1", "detS", "trS3", "g", "f"]
-    + [f"lam2_q{q}" for q in ("1.5", "2", "3", "inf")]
-    + [f"acc_q{q}" for q in ("1.5", "2", "3", "inf")]
-    + ["ratio", "res_enstrophy", "res_orth", "res_vortdet", "res_isometry"]
-    + ["res_constraint"]
-)
-
-
 def _check_record(obj):
     """Return one parsed line, or raise ValueError naming what `report` lacks."""
     if not isinstance(obj, dict):
@@ -136,7 +127,7 @@ def _check_record(obj):
     for key in ("outcome", "t_outcome") if rep else ("t", "E"):
         if key not in obj:
             raise ValueError(f"missing key {key!r}")
-    for key in ("t_outcome", "r0") if rep else _NUMERIC_KEYS:
+    for key in ("t_outcome", "r0") if rep else RECORD_KEYS:
         val = obj.get(key, 0.0)
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ValueError(f"key {key!r} is not a number: {val!r}")
@@ -171,7 +162,7 @@ def cmd_report(args) -> int:
 
     print(f"{len(records)} samples, t in [{records[0]['t']!r}, {records[-1]['t']!r}]")
     print(f"{'key':<14}{'min':>14}{'max':>14}{'final':>14}")
-    for key in _NUMERIC_KEYS:
+    for key in RECORD_KEYS:
         vals = [r[key] for r in records if key in r]
         if not vals:
             continue
@@ -202,8 +193,7 @@ def cmd_report(args) -> int:
             print(f"envelope pass fraction: {env.pass_fraction:.4f}")
             t_mid = 0.5 / r0
             mid = next((r for r in records if r["t"] >= t_mid), None)
-            for q in ("1.5", "2", "3", "inf"):
-                key = f"acc_q{q}"
+            for key in (k for k in RECORD_KEYS if k.startswith("acc_")):
                 if mid and key in mid and mid[key] > 0 and key in records[-1]:
                     print(
                         f"{key} growth from t=0.5/r0: "

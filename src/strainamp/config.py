@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import MISSING, dataclass, fields as dc_fields
+from typing import get_type_hints
 
 from .dynamics import SimParams
 from .grid import GridSpec
@@ -16,27 +17,7 @@ class ConfigError(ValueError):
     """Config rejected; the message names the offending key."""
 
 
-# key -> (attribute, parser); "lambda" is a Python keyword, hence the rename
-_INT_KEYS = {"n", "seed", "output_every", "checkpoint_every"}
-_FLOAT_KEYS = {
-    "box_length",
-    "dealias_fraction",
-    "nu",
-    "t_end",
-    "cfl",
-    "dt_max",
-    "dt_min",
-    "amplitude",
-    "lambda",
-    "slope",
-}
-_STR_KEYS = {"equation", "kind", "path", "output_path"}
-_TRIPLE_KEYS = {"center"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _TRIPLE_KEYS
-_REQUIRED = ("kind", "equation")
 _SWEEPABLE = ("amplitude", "nu")
-
-_ATTR = {k: ("lam" if k == "lambda" else k) for k in _ALL_KEYS}
 
 
 @dataclass
@@ -64,58 +45,57 @@ class RunConfig:
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.n, self.box_length, self.dealias_fraction)
 
+    def _fields_of(self, cls) -> dict:
+        return {f.name: getattr(self, f.name) for f in dc_fields(cls)}
+
     def sim_params(self) -> SimParams:
-        return SimParams(
-            nu=self.nu,
-            equation=self.equation,
-            t_end=self.t_end,
-            cfl=self.cfl,
-            dt_max=self.dt_max,
-            dt_min=self.dt_min,
-            output_every=self.output_every,
-        )
+        return SimParams(**self._fields_of(SimParams))
 
     def init_spec(self) -> InitSpec:
-        return InitSpec(
-            kind=self.kind,
-            amplitude=self.amplitude,
-            seed=self.seed,
-            lam=self.lam,
-            center=self.center,
-            path=self.path or None,
-            slope=self.slope,
-        )
+        return InitSpec(**{**self._fields_of(InitSpec), "path": self.path or None})
 
     def emit(self) -> str:
         """Serialize back to the flat key = value format (round-trip exact)."""
         lines = []
         for f in dc_fields(self):
-            key = "lambda" if f.name == "lam" else f.name
             val = getattr(self, f.name)
-            if key in _TRIPLE_KEYS:
+            if isinstance(val, tuple):
                 val = ",".join(repr(v) for v in val)
             elif isinstance(val, float):
                 val = repr(val)
-            lines.append(f"{key} = {val}")
+            lines.append(f"{_key(f.name)} = {val}")
         return "\n".join(lines) + "\n"
+
+
+def _key(name: str) -> str:
+    """The config key of a RunConfig field ("lambda" is a Python keyword)."""
+    return "lambda" if name == "lam" else name
+
+
+def _finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError
+    return val
+
+
+def _triple(raw: str) -> tuple[float, float, float]:
+    parts = [p for p in raw.split(",") if p.strip()]
+    if len(parts) != 3:
+        raise ValueError
+    return tuple(float(p) for p in parts)
+
+
+# key -> (RunConfig field, value parser), from the field annotations
+_PARSERS = {int: int, float: _finite, str: str, tuple[float, float, float]: _triple}
+_HINTS = get_type_hints(RunConfig)
+_SCHEMA = {_key(f.name): (f, _PARSERS[_HINTS[f.name]]) for f in dc_fields(RunConfig)}
 
 
 def _parse_scalar(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            val = float(raw)
-            if not math.isfinite(val):
-                raise ValueError
-            return val
-        if key in _TRIPLE_KEYS:
-            parts = [p for p in raw.split(",") if p.strip()]
-            if len(parts) != 3:
-                raise ValueError
-            return tuple(float(p) for p in parts)
-        return raw
+        return _SCHEMA[key][1](raw)
     except ValueError:
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from None
 
@@ -130,20 +110,18 @@ def _split_lines(text: str) -> list[tuple[str, str]]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key '{key}'")
         pairs.append((key, raw.strip()))
     return pairs
 
 
 def _build(pairs: list[tuple[str, str]]) -> RunConfig:
-    seen: dict[str, object] = {}
-    for key, raw in pairs:
-        seen[_ATTR[key]] = _parse_scalar(key, raw)
-    for req in _REQUIRED:
-        if req not in seen:
-            raise ConfigError(f"missing required key '{req}'")
-    return RunConfig(**seen)  # type: ignore[arg-type]
+    seen = {_SCHEMA[key][0].name: _parse_scalar(key, raw) for key, raw in pairs}
+    for key, (f, _) in _SCHEMA.items():
+        if f.default is MISSING and f.name not in seen:
+            raise ConfigError(f"missing required key '{key}'")
+    return RunConfig(**seen)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, VectorField, _mode_sum
+from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, _mode_sum
 from .grid import irfft_raw
 from .operators import (
     _as_real,
@@ -27,7 +27,6 @@ __all__ = [
     "p_exponent",
     "LAMBDA2_L32_THRESHOLD",
     "hs_norm_sq",
-    "grad_hs_norm_sq",
     "enstrophy",
     "energy",
     "det_integral",
@@ -46,6 +45,7 @@ __all__ = [
     "gamma_membership",
     "GammaMembership",
     "DiagnosticsRecord",
+    "RECORD_KEYS",
     "sample_functionals",
 ]
 
@@ -94,11 +94,6 @@ def _hs_weight(lay, alpha: float) -> np.ndarray:
     return w
 
 
-def _check_alpha(alpha: float) -> None:
-    if not -1.5 < alpha < 1.5:
-        raise ValueError(f"alpha must lie in (-3/2, 3/2), got {alpha}")
-
-
 def _hs(lay, a: np.ndarray, alpha: float) -> float:
     return _mode_sum(lay, a, a, _hs_weight(lay, alpha))
 
@@ -112,14 +107,9 @@ def hs_norm_sq(f, alpha: float) -> float:
 
     Valid for -3/2 < alpha < 3/2; the mean mode is excluded for alpha != 0.
     """
-    _check_alpha(alpha)
+    if not -1.5 < alpha < 1.5:
+        raise ValueError(f"alpha must lie in (-3/2, 3/2), got {alpha}")
     return _hs(*_layout(f), alpha)
-
-
-def grad_hs_norm_sq(u: VectorField, alpha: float) -> float:
-    """Squared H^alpha norm of the full velocity-gradient tensor."""
-    _check_alpha(alpha)
-    return _grad_hs(*_layout(u), alpha)
 
 
 def enstrophy(S: SymTensorField) -> float:
@@ -419,6 +409,16 @@ def gamma_membership(S: SymTensorField, nu: float) -> GammaMembership:
 
 _Q_KEY = {1.5: "q1.5", 2.0: "q2", 3.0: "q3", math.inf: "qinf"}
 
+# JSON key order of a record; g, ratio and res_enstrophy are omitted when
+# undefined (zero field, non-full-strain runs, fewer than three records)
+RECORD_KEYS = (
+    ("t", "E", "K", "H1", "detS", "trS3", "g", "f")
+    + tuple(f"lam2_{_Q_KEY[q]}" for q in Q_VALUES)
+    + tuple(f"acc_{_Q_KEY[q]}" for q in Q_VALUES)
+    + ("ratio", "res_enstrophy", "res_orth", "res_vortdet", "res_isometry")
+    + ("res_constraint",)
+)
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -438,29 +438,22 @@ class DiagnosticsRecord:
     residuals: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out: dict = {
+        ratio = self.ratio
+        vals = {
             "t": self.t,
             "E": self.E,
             "K": self.K,
             "H1": self.H1,
             "detS": self.detS,
             "trS3": self.trS3,
+            "g": self.g,
+            "f": self.f,
+            **{f"lam2_{_Q_KEY[q]}": v for q, v in self.lam2_norms.items()},
+            **{f"acc_{_Q_KEY[q]}": v for q, v in self.regcrit_accum.items()},
+            "ratio": ratio if ratio is not None and math.isfinite(ratio) else None,
+            **self.residuals,
         }
-        if self.g is not None:
-            out["g"] = self.g
-        out["f"] = self.f
-        for q in Q_VALUES:
-            out[f"lam2_{_Q_KEY[q]}"] = self.lam2_norms[q]
-        for q in Q_VALUES:
-            out[f"acc_{_Q_KEY[q]}"] = self.regcrit_accum[q]
-        if self.ratio is not None and math.isfinite(self.ratio):
-            out["ratio"] = self.ratio
-        for name in (
-            "res_enstrophy", "res_orth", "res_vortdet", "res_isometry", "res_constraint"
-        ):
-            if name in self.residuals:
-                out[name] = self.residuals[name]
-        return out
+        return {k: vals[k] for k in RECORD_KEYS if vals.get(k) is not None}
 
 
 def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
@@ -496,3 +489,39 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
     vals["res_isometry"] = _isometry(b)
     vals["res_constraint"] = b.res_constraint
     return vals
+
+
+class _RecordStream:
+    """Builds the records of one run, in time order.
+
+    It owns what a record depends on besides its own sample: the running
+    integrals of ||lambda2+||_{L^q}^p in time (trapezoid rule, with p from
+    p_exponent; a running supremum where p is infinite), the previous
+    sample's time and norms, and the last three (t, E, H1, detS) rows, whose
+    middle one res_enstrophy is evaluated at (so it lags one record)."""
+
+    def __init__(self, nu: float, with_ratio: bool) -> None:
+        self.nu = nu
+        self.with_ratio = with_ratio
+        self.accum = {q: 0.0 for q in Q_VALUES}
+        self.prev: tuple[float, dict[float, float]] | None = None
+        self.rows: list[tuple[float, float, float, float]] = []
+
+    def record(self, S: SymTensorField, t: float) -> DiagnosticsRecord:
+        vals = sample_functionals(S, self.nu, self.with_ratio)
+        norms = vals["lam2_norms"]
+        for q in Q_VALUES:
+            pexp = p_exponent(q)
+            if math.isinf(pexp):  # a norm is >= 0, so the first sample sets it
+                self.accum[q] = max(self.accum[q], norms[q])
+            elif self.prev is not None:
+                t0, n0 = self.prev
+                self.accum[q] += 0.5 * (t - t0) * (norms[q] ** pexp + n0[q] ** pexp)
+        self.prev = (t, norms)
+        self.rows = self.rows[-2:] + [(t, vals["E"], vals["H1"], vals["detS"])]
+        residuals = {k: vals.pop(k) for k in list(vals) if k.startswith("res_")}
+        if len(self.rows) == 3:
+            residuals["res_enstrophy"] = _identity_residual(*self.rows, self.nu)
+        return DiagnosticsRecord(
+            t=t, regcrit_accum=dict(self.accum), residuals=residuals, **vals
+        )

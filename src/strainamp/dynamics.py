@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics as diag
-from .fields import SYM_WEIGHTS, SymTensorField, VectorField
+from .fields import SYM_WEIGHTS, SymTensorField, VectorField, _mode_sum
 from .grid import GridSpec, irfft_retained_raw as _irfft_box
 from .operators import (
     _as_spectral,
@@ -73,6 +73,7 @@ EQUATIONS = ("model", "full_strain", "velocity_ns")
 LOCAL_EXISTENCE_COEFF = (3.0 * (2.0 * np.pi) ** 0.75 / 32.0) ** 4
 
 _CHECKPOINT_MAGIC = b"STRN1\x00"
+_HEADER = struct.Struct("<QdddB")  # n, L, t, nu, equation code
 _EQUATION_CODE = {"model": 0, "full_strain": 1, "velocity_ns": 2}
 _EQUATION_FROM_CODE = {v: k for k, v in _EQUATION_CODE.items()}
 
@@ -304,13 +305,10 @@ def _enstrophy_and_tail(S: SymTensorField) -> tuple[float, float]:
     summed on the retained box (the state is dealiased)."""
     r = S.grid.retained
     sh = r.pack(S.data)
-    w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
-    power = np.sum(w6 * (sh.real**2 + sh.imag**2), axis=0) * r.hermitian_weight
-    total = float(np.sum(power))
+    total = _mode_sum(r, sh, sh)
     if total == 0.0:
         return 0.0, 0.0
-    tail = float(np.sum(power, where=r.tail_mask))
-    return r.box_length**3 * total, tail / total
+    return total, _mode_sum(r, sh, sh, mult=r.tail_mask) / total
 
 
 # -- the run loop ----------------------------------------------------------------
@@ -337,75 +335,30 @@ def run(
     `checkpoint_every` steps when a path is given.
     """
     p = state0.params
-    with_ratio = p.equation == "full_strain"
     state = state0
+    stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
 
-    accums = {q: 0.0 for q in diag.Q_VALUES}
-    samples: list[tuple[float, float, float, float]] = []  # (t, E, H1, detS)
-    last_norms: dict[float, float] | None = None
-    last_t = state.t
-
-    def emit(st: StrainState) -> dict:
-        nonlocal last_norms, last_t
-        vals = diag.sample_functionals(st.S, p.nu, with_ratio)
-        norms = vals["lam2_norms"]
-        if last_norms is not None:
-            dt_s = st.t - last_t
-            for q in diag.Q_VALUES:
-                pexp = diag.p_exponent(q)
-                if math.isinf(pexp):
-                    accums[q] = max(accums[q], norms[q])
-                else:
-                    accums[q] += 0.5 * dt_s * (norms[q] ** pexp + last_norms[q] ** pexp)
-        else:
-            for q in diag.Q_VALUES:
-                if math.isinf(diag.p_exponent(q)):
-                    accums[q] = norms[q]
-        residuals = {k: v for k, v in vals.items() if k.startswith("res_")}
-        samples.append((st.t, vals["E"], vals["H1"], vals["detS"]))
-        if len(samples) >= 3:
-            # lagged one sample: three-point dE/dt centered on the previous record
-            residuals["res_enstrophy"] = diag._identity_residual(*samples[-3:], p.nu)
-        rec = diag.DiagnosticsRecord(
-            t=st.t,
-            E=vals["E"],
-            K=vals["K"],
-            H1=vals["H1"],
-            detS=vals["detS"],
-            trS3=vals["trS3"],
-            g=vals["g"],
-            f=vals["f"],
-            lam2_norms=norms,
-            regcrit_accum=dict(accums),
-            ratio=vals["ratio"],
-            residuals=residuals,
-        )
-        last_norms = norms
-        last_t = st.t
+    def emit(st: StrainState) -> diag.DiagnosticsRecord:
+        rec = stream.record(st.S, st.t)
         if sink is not None:
             sink(rec)
-        return vals
+        return rec
 
-    v0 = emit(state)  # the t = 0 sample gives E0, f0 and K0
-    E0, f0, K0 = v0["E"], v0["f"], v0["K"]
+    rec0 = emit(state)  # the t = 0 sample gives E0, f0 and K0
+    E0, f0, K0 = rec0.E, rec0.f, rec0.K
     g0 = f0 / E0**1.5 if E0 > 0 else 0.0
     r0 = f0 / (2.0 * E0) if E0 > 0 else 0.0
+    # fixed-point existence horizon as a first-step sanity clamp; the bound
+    # is hugely conservative for large data, so it only binds where it stays
+    # satisfiable
+    first_dt = LOCAL_EXISTENCE_COEFF / E0**2 if E0 > 0 else math.inf
 
     outcome = "resolved_to_t_end"
-    steps = 0
-    first = True
-    emitted_final = True
+    steps = emitted = 0  # emitted: the step count of the last record
     while state.t < p.t_end - 1e-15:
         dt = cfl_dt(state)
-        if first:
-            # fixed-point existence horizon as a first-step sanity clamp; the
-            # bound is hugely conservative for large data, so it only binds
-            # where it stays satisfiable
-            if E0 > 0:
-                bound = LOCAL_EXISTENCE_COEFF / E0**2
-                if bound >= p.dt_min:
-                    dt = min(dt, bound)
-            first = False
+        if steps == 0 and first_dt >= p.dt_min:
+            dt = min(dt, first_dt)
         if dt < p.dt_min:
             outcome = "blowup_detected"
             break
@@ -416,25 +369,19 @@ def run(
             outcome = "blowup_detected"
             break
         steps += 1
-        emitted_final = False
         e_now, tail = _enstrophy_and_tail(state.S)
         if not math.isfinite(e_now) or (E0 > 0 and e_now > 1e6 * E0):
             outcome = "blowup_detected"
-            emit(state)
-            emitted_final = True
             break
         if tail > 0.01:
             outcome = "resolution_lost"
-            emit(state)
-            emitted_final = True
             break
         if steps % p.output_every == 0:
             emit(state)
-            emitted_final = True
+            emitted = steps
         if checkpoint_every > 0 and checkpoint_path and steps % checkpoint_every == 0:
             write_checkpoint(checkpoint_path, state)
-
-    if not emitted_final:
+    if emitted != steps:
         emit(state)
 
     return BlowupReport(
@@ -467,9 +414,8 @@ def write_checkpoint(path: str, state: StrainState) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<Q", g.n))
-            fh.write(struct.pack("<ddd", g.box_length, state.t, state.params.nu))
-            fh.write(struct.pack("<B", _EQUATION_CODE[state.params.equation]))
+            fh.write(_HEADER.pack(g.n, g.box_length, state.t, state.params.nu,
+                                  _EQUATION_CODE[state.params.equation]))
             for c in range(6):
                 fh.write(s_re[c].astype("<f8").ravel(order="F").tobytes())
         os.replace(tmp, path)
@@ -479,19 +425,16 @@ def write_checkpoint(path: str, state: StrainState) -> None:
         raise
 
 
-def read_checkpoint(
-    path: str,
-    params: SimParams | None = None,
-    dealias_fraction: float = 2.0 / 3.0,
-) -> StrainState:
-    """Read a checkpoint; `params` overrides the stored nu/equation when given."""
+def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainState:
+    """Read a checkpoint, with the nu and equation it stores."""
     with open(path, "rb") as fh:
         magic = fh.read(6)
         if magic != _CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        box_length, t, nu = struct.unpack("<ddd", fh.read(24))
-        (code,) = struct.unpack("<B", fh.read(1))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise CheckpointError("truncated checkpoint header")
+        n, box_length, t, nu, code = _HEADER.unpack(header)
         if code not in _EQUATION_FROM_CODE:
             raise CheckpointError(f"unknown equation code {code}")
         if n % 2 != 0 or n < 8 or n > 4096:
@@ -513,8 +456,7 @@ def read_checkpoint(
     data = np.stack(
         [comps[c].reshape((n, n, n), order="F") for c in range(6)]
     )
-    if params is None:
-        params = SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code])
+    params = SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code])
     S = SymTensorField(grid, np.ascontiguousarray(grid.from_monotone(data)))
     # dealiased like make_state, so the roundoff the transform leaves outside
     # the retained box is dropped and step accepts the restart

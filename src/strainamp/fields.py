@@ -13,20 +13,16 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "SymTensorField",
-    "SYM_COMPONENTS",
     "SYM_PAIRS",
     "SYM_WEIGHTS",
-    "SYM_INDEX",
     "l2_inner",
     "l2_norm_sq",
 ]
 
 # Symmetric 3x3 storage order and bookkeeping. Off-diagonals are stored once;
 # SYM_WEIGHTS carries their Frobenius multiplicity.
-SYM_COMPONENTS = ("xx", "xy", "xz", "yy", "yz", "zz")
 SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
-SYM_INDEX = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # SYM_INDEX[i][j] -> component slot
 
 
 @dataclass(frozen=True)

@@ -134,14 +134,12 @@ def _strain_residual_raw(grid: GridSpec, sh: np.ndarray) -> float:
     return float(np.sqrt(_mode_sum(grid, d, d) / denom))
 
 
-def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray, residual_tol: float = 1e-6):
-    """(_velocity_raw, strain-space residual); ConstraintError above
-    residual_tol or when the residual is NaN."""
+def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray):
+    """(_velocity_raw, strain-space residual); ConstraintError above 1e-6 or
+    when the residual is NaN."""
     res = _strain_residual_raw(grid, sh)
-    if not res <= residual_tol:
-        raise ConstraintError(
-            f"strain-space residual {res:.3e} exceeds {residual_tol:.1e}"
-        )
+    if not res <= 1e-6:
+        raise ConstraintError(f"strain-space residual {res:.3e} exceeds 1.0e-06")
     return _velocity_raw(grid, sh), res
 
 
@@ -167,21 +165,20 @@ def strain_space_residual(S: SymTensorField) -> float:
     return _strain_residual_raw(sf.grid, sf.data)
 
 
-def strain_of(u: VectorField, div_tol: float = 1e-8) -> SymTensorField:
-    """Symmetric gradient S_ij = (d_i u_j + d_j u_i)/2 of a solenoidal velocity."""
+def strain_of(u: VectorField) -> SymTensorField:
+    """Symmetric gradient S_ij = (d_i u_j + d_j u_i)/2 of a solenoidal velocity;
+    ConstraintError when the divergence residual exceeds 1e-8 or is NaN."""
     uf = _as_spectral(u)
     res = divergence_residual(uf)
-    if res > div_tol:
-        raise ConstraintError(
-            f"velocity divergence residual {res:.3e} exceeds {div_tol:.1e}"
-        )
+    if not res <= 1e-8:
+        raise ConstraintError(f"velocity divergence residual {res:.3e} exceeds 1.0e-08")
     return SymTensorField(uf.grid, _sym_grad_raw(uf.grid, uf.data))
 
 
-def velocity_of(S: SymTensorField, residual_tol: float = 1e-6) -> VectorField:
+def velocity_of(S: SymTensorField) -> VectorField:
     """Invert the strain: u = -2 div (-lap)^{-1} S, requiring S in the strain space."""
     sf = _as_spectral(S)
-    return VectorField(sf.grid, _velocity_checked_raw(sf.grid, sf.data, residual_tol)[0])
+    return VectorField(sf.grid, _velocity_checked_raw(sf.grid, sf.data)[0])
 
 
 def vorticity_of(u: VectorField) -> VectorField:

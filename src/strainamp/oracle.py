@@ -85,8 +85,9 @@ def naive_convolution(fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobi_eig(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 50) -> EigenTriple:
-    """Eigenvalues of a symmetric 3x3 matrix by cyclic Jacobi rotations."""
+def jacobi_eig(m: np.ndarray) -> EigenTriple:
+    """Eigenvalues of a symmetric 3x3 matrix by cyclic Jacobi rotations (at
+    most 50 sweeps, until the off-diagonal norm is 1e-14 of the norm)."""
     a = np.array(m, dtype=np.float64)
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
@@ -96,9 +97,9 @@ def jacobi_eig(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 50) -> Eigen
     norm = np.sqrt(np.sum(a * a))
     if norm == 0.0:
         return EigenTriple(0.0, 0.0, 0.0)
-    for _ in range(max_sweeps):
+    for _ in range(50):
         off = np.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off <= tol * norm:
+        if off <= 1e-14 * norm:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
             if a[p, q] == 0.0:

@@ -1,13 +1,15 @@
 """Command-line surface: config parsing, run/sweep/report, exit codes."""
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
 
 from strainamp import cli
 from strainamp import diagnostics as diag
-from strainamp.config import ConfigError, parse_config, parse_sweep_config
+from strainamp.config import ConfigError, RunConfig, parse_config, parse_sweep_config
 from strainamp.grid import GridSpec
 from strainamp.initdata import colliding_jets
 from strainamp.operators import strain_of
@@ -82,6 +84,61 @@ def write_config(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# a value of each annotation type that no RunConfig field has as its default,
+# as config text and parsed, and a malformed spelling of it (None: a str key
+# takes any text)
+SCHEMA_SAMPLES = {
+    int: ("7", 7, "7.5"),
+    float: ("0.3125", 0.3125, "inf"),
+    str: ("xyz", "xyz", None),
+    tuple[float, float, float]: ("0.5, -1, 2", (0.5, -1.0, 2.0), "0.5,1"),
+}
+RUN_FIELDS = dataclasses.fields(RunConfig)
+HINTS = typing.get_type_hints(RunConfig)
+
+
+def config_key(f):
+    return "lambda" if f.name == "lam" else f.name
+
+
+class TestConfigSchema:
+    # the key types come from RunConfig's annotations: every field must parse,
+    # and a field whose type has no sample here fails with KeyError
+    @pytest.mark.parametrize("f", RUN_FIELDS, ids=config_key)
+    def test_field_parses_and_round_trips(self, f):
+        raw, want, _ = SCHEMA_SAMPLES[HINTS[f.name]]
+        assert want != f.default
+        pairs = {"kind": "colliding_jets", "equation": "model", config_key(f): raw}
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        assert getattr(cfg, f.name) == want
+        assert parse_config(cfg.emit()) == cfg
+
+    @pytest.mark.parametrize(
+        "f", [f for f in RUN_FIELDS if SCHEMA_SAMPLES[HINTS[f.name]][2]], ids=config_key
+    )
+    def test_malformed_value_names_key(self, f):
+        bad = SCHEMA_SAMPLES[HINTS[f.name]][2]
+        text = f"kind = colliding_jets\nequation = model\n{config_key(f)} = {bad}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"invalid value for key '{config_key(f)}': {bad!r}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind = a\nequation = b\nlam = 2\n", "unknown key 'lam'"),
+            ("n = 16\n", "missing required key 'kind'"),
+            ("kind = a\n", "missing required key 'equation'"),
+            ("kind = a\nequation = b\ncenter = 1,2,x\n",
+             "invalid value for key 'center': '1,2,x'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
 
 
 class TestCmdRun:
@@ -174,6 +231,24 @@ class TestCmdRun:
         )
         assert cli.main(["run", cfgfile]) == 2
         assert "non-finite payload sample" in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    def test_truncated_checkpoint_header_exit_2(self, tmp_path, capsys):
+        from strainamp.dynamics import SimParams, make_state, write_checkpoint
+
+        g = GridSpec(16, 16.0)
+        ckpt = tmp_path / "cut.ckpt"
+        write_checkpoint(str(ckpt), make_state(strain_of(colliding_jets(g, 1.0)), 0.0,
+                                               SimParams(1.0, "model")))
+        ckpt.write_bytes(ckpt.read_bytes()[:20])
+        out = tmp_path / "out.jsonl"
+        cfgfile = write_config(
+            tmp_path,
+            f"kind = from_checkpoint\npath = {ckpt}\nequation = model\nn = 16\n"
+            f"output_path = {out}\n",
+        )
+        assert cli.main(["run", cfgfile]) == 2
+        assert "truncated checkpoint header" in capsys.readouterr().err
         assert out.read_text() == ""
 
 

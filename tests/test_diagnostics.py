@@ -367,6 +367,31 @@ class TestSampleFunctionals:
         assert vals["E"] == 0.0 and vals["f"] == 0.0
 
 
+class TestRecordStream:
+    def test_rows_residual_and_accumulators(self):
+        g = GridSpec(16, 16.0)
+        times = [0.0, 0.1, 0.25, 0.3, 0.5]
+        stream = diag._RecordStream(nu=0.7, with_ratio=False)
+        recs = [stream.record(random_strain(g, s, 1.0 + s), t) for s, t in enumerate(times)]
+        assert len(stream.rows) == 3
+        assert "res_enstrophy" not in recs[1].residuals
+        for i in range(2, len(recs)):
+            rows = [(r.t, r.E, r.H1, r.detS) for r in recs[i - 2 : i + 1]]
+            assert recs[i].residuals["res_enstrophy"] == diag._identity_residual(*rows, 0.7)
+        for q in diag.Q_VALUES:
+            p = diag.p_exponent(q)
+            norms = [r.lam2_norms[q] for r in recs]
+            if math.isinf(p):  # running supremum
+                want = max(norms)
+            else:  # trapezoid rule in time
+                want = sum(
+                    0.5 * (t1 - t0) * (b**p + a**p)
+                    for t0, t1, a, b in zip(times, times[1:], norms, norms[1:])
+                )
+            assert recs[-1].regcrit_accum[q] == pytest.approx(want, rel=1e-14)
+            assert recs[0].regcrit_accum[q] == (norms[0] if math.isinf(p) else 0.0)
+
+
 class TestEnstrophyIdentityResidual:
     def test_requires_three_samples(self):
         with pytest.raises(ValueError):

@@ -493,6 +493,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("length", [6, 20])
+    def test_truncated_header(self, tmp_path, length):
+        # 6 bytes keep only the magic, 20 end inside the f64 header values
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, random_state(GridSpec(16, 16.0), 16))
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:length])
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+            read_checkpoint(path)
+
     def test_layout_header(self, tmp_path):
         g = GridSpec(16, 4.0)
         st = StrainState(

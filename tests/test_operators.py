@@ -93,6 +93,14 @@ class TestStrainOf:
         with pytest.raises(ConstraintError):
             strain_of(u)
 
+    def test_rejects_nan_coefficient(self):
+        # a NaN divergence residual compares False against the tolerance
+        g = GridSpec(16, 16.0)
+        u = random_solenoidal(g, 0)
+        u.data[0, 1, 2, 3] = np.nan
+        with pytest.raises(ConstraintError, match="nan"):
+            strain_of(u)
+
 
 class TestVelocityOf:
     def test_zero(self):
