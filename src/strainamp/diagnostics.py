@@ -14,12 +14,13 @@ from .operators import (
     _as_real,
     _as_spectral,
     _curl_raw,
+    _eig3_raw,
     _lamb_box,
     _s_squared_box,
     _strain_project_raw,
     _sym_grad_raw,
     _velocity_checked_raw,
-    lambda_fields,
+    _velocity_raw,
 )
 
 __all__ = [
@@ -182,39 +183,76 @@ def r0_of(S: SymTensorField, nu: float) -> float:
 # -- middle-eigenvalue norms ---------------------------------------------------
 
 
-def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
-    """L^q norms of lambda2+ = max(0, lambda2) for q in Q_VALUES."""
-    _, _, l2p = lambda_fields(S)
+def _lambda_norms_and_det(S: SymTensorField) -> tuple[dict[float, float], float]:
+    """lambda_lq_norms(S) and det_integral(S) from one eigenvalue pass."""
+    _, l2, _, det = _eig3_raw(S.real_samples())
+    l2p = np.maximum(0.0, l2)
     vol = S.grid.cell_volume
     out: dict[float, float] = {}
     for q in Q_VALUES:
         if math.isinf(q):
-            out[q] = float(np.max(l2p.data))
+            out[q] = float(np.max(l2p))
         else:
-            out[q] = float((vol * np.sum(l2p.data**q)) ** (1.0 / q))
-    return out
+            out[q] = float((vol * np.sum(l2p**q)) ** (1.0 / q))
+    return out, float(vol * np.sum(det))
+
+
+def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
+    """L^q norms of lambda2+ = max(0, lambda2) for q in Q_VALUES."""
+    return _lambda_norms_and_det(S)[0]
 
 
 # -- identity residuals ---------------------------------------------------------
 
 
 class _Sample:
-    """Fields derived from one strain sample, built once.
-
-    The spectral work runs on `lay`, the retained box when S is dealiased
-    and the full layout otherwise (see _layout): S on lay (`sh`) and its
-    real samples, int det(S), u (one strain-space residual check, whose
-    value is kept as `res_constraint`) and omega on lay, with their real
-    samples on first use; hs() memoizes the norms of S."""
+    """Fields derived from one strain state, built once for dynamics.cfl_dt,
+    dynamics.step and sample_functionals. On `lay`, the retained box when S
+    is dealiased and the full layout otherwise (see _layout): S (`sh`), then
+    on first use u, |u|_inf, |S|_inf, the norms of S (hs), and on the box the
+    Lamb term P_df(omega x u) and S^2. Real samples of u and omega are
+    dropped by the call that makes them."""
 
     def __init__(self, S: SymTensorField) -> None:
+        self.S = S
         self.g = S.grid
         self.lay, self.sh = _layout(S)
-        self.s_re = _as_real(S).data
-        self.det = det_integral(S)
-        self.uh, self.res_constraint = _velocity_checked_raw(self.lay, self.sh)
-        self.wh = _curl_raw(self.lay, self.uh)
+        self.uh = self.res_constraint = None  # set by velocity()
         self._hs: dict[float, float] = {}
+
+    def velocity(self, checked: bool = False) -> np.ndarray:
+        """u on lay; `checked` runs the strain-space residual check once."""
+        if checked and self.res_constraint is None:
+            self.uh, self.res_constraint = _velocity_checked_raw(self.lay, self.sh)
+        elif self.uh is None:
+            self.uh = _velocity_raw(self.lay, self.sh)
+        return self.uh
+
+    def real_velocity(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real samples of u (checked) and omega; sets u_inf and lamb."""
+        uh = self.velocity(checked=True)
+        u_re, w_re = self.real(uh), self.real(_curl_raw(self.lay, uh))
+        self.u_inf = _max_norm(u_re)
+        self.lamb = _lamb_box(self.g, u_re, w_re)
+        return u_re, w_re
+
+    @cached_property
+    def lamb(self) -> np.ndarray:  # real_velocity sets it
+        self.real_velocity()
+        return self.lamb
+
+    @cached_property
+    def u_inf(self) -> float:
+        return _max_norm(self.real(self.velocity()))
+
+    @cached_property
+    def s_inf(self) -> float:
+        s_re, w6 = self.S.real_samples(), SYM_WEIGHTS.reshape(6, 1, 1, 1)
+        return float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * w6, s_re))))
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return _s_squared_box(self.g, self.S.real_samples())
 
     def on_lay(self, box: np.ndarray) -> np.ndarray:
         """A retained-box array moved onto lay."""
@@ -224,14 +262,6 @@ class _Sample:
         """Real samples of coefficients held on lay."""
         return irfft_raw(self.g, a if self.lay is self.g else self.lay.unpack(a))
 
-    @cached_property
-    def u_re(self) -> np.ndarray:
-        return self.real(self.uh)
-
-    @cached_property
-    def w_re(self) -> np.ndarray:
-        return self.real(self.wh)
-
     def hs(self, alpha: float) -> float:
         """hs_norm_sq(S, alpha), computed once per alpha (E, K and H1 are
         alpha = 0, -1 and 1)."""
@@ -240,13 +270,19 @@ class _Sample:
         return self._hs[alpha]
 
 
+def _max_norm(v_re: np.ndarray) -> float:
+    return float(np.sqrt(np.max(np.sum(v_re * v_re, axis=0))))
+
+
 def _isometry(b: _Sample) -> float:
+    uh = b.velocity(checked=True)
+    wh = _curl_raw(b.lay, uh)
     worst = 0.0
     for alpha in (-1.0, 0.0, 1.0):
         vals = (
             b.hs(alpha),
-            0.5 * _hs(b.lay, b.wh, alpha),
-            0.5 * _grad_hs(b.lay, b.uh, alpha),
+            0.5 * _hs(b.lay, wh, alpha),
+            0.5 * _grad_hs(b.lay, uh, alpha),
         )
         top = max(vals)
         if top > 0:
@@ -270,8 +306,8 @@ def _orth_and_ratio(b: _Sample, nu: float | None = None) -> tuple[float, float |
     ns = math.sqrt(b.hs(0.0))
     if ns == 0.0:
         return 0.0, None
-    A = b.on_lay(_sym_grad_raw(g.retained, _lamb_box(g, b.u_re, b.w_re)))
-    B = _strain_project_raw(lay, b.on_lay(_s_squared_box(g, b.s_re)))
+    A = b.on_lay(_sym_grad_raw(g.retained, b.lamb))
+    B = _strain_project_raw(lay, b.on_lay(b.s2))
     term = A - (2.0 / 3.0) * B
     nt = math.sqrt(_mode_sum(lay, term, term))
     orth = abs(_mode_sum(lay, term, b.sh)) / (nt * ns + _EPS)
@@ -287,13 +323,13 @@ def orthogonality_residual(S: SymTensorField) -> float:
     return _orth_and_ratio(_Sample(S))[0]
 
 
-def _vortex_det(b: _Sample) -> float:
-    s_re, wdat = b.s_re, b.w_re
+def _vortex_det(b: _Sample, wdat: np.ndarray, det: float) -> float:
+    s_re = b.S.real_samples()
     pair = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):
         pair += SYM_WEIGHTS[c] * np.sum(s_re[c] * wdat[i] * wdat[j])
     pair = float(pair * b.g.cell_volume)
-    lhs = pair + 4.0 * b.det
+    lhs = pair + 4.0 * det
     wmag2 = wdat[0] ** 2 + wdat[1] ** 2 + wdat[2] ** 2
     wl4_sq = float(np.sqrt(b.g.cell_volume * np.sum(wmag2**2)))
     return abs(lhs) / (math.sqrt(b.hs(0.0)) * wl4_sq + _EPS)
@@ -301,7 +337,8 @@ def _vortex_det(b: _Sample) -> float:
 
 def vortex_det_residual(S: SymTensorField) -> float:
     """|<S, omega x omega> + 4 int det(S)| scaled by ||S|| ||omega||^2_{L^4}."""
-    return _vortex_det(_Sample(S))
+    b = _Sample(S)
+    return _vortex_det(b, b.real_velocity()[1], det_integral(S))
 
 
 def perturbative_ratio(S: SymTensorField, nu: float) -> float:
@@ -456,27 +493,29 @@ class DiagnosticsRecord:
         return {k: vals[k] for k in RECORD_KEYS if vals.get(k) is not None}
 
 
-def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
+def sample_functionals(
+    S: SymTensorField, nu: float, with_ratio: bool, *, derived: _Sample | None = None
+) -> dict:
     """Instantaneous functionals used by the run loop to assemble records.
 
-    One derived-field bundle per call, dropped on return: S's real samples,
-    u (so one strain-space residual check), omega, and int det(S) for detS,
-    f and res_vortdet. Its spectral work runs on the retained box, as every
-    state the run loop samples is dealiased. The norms of S are taken once:
-    E, K and H1 also serve the isometry check, and E gives ||S|| to res_orth
-    and res_vortdet. res_orth and the ratio share one Lamb-vector term and
-    one P_st(S^2). res_constraint is the strain-space residual
-    ||P_st S - S|| / ||S|| from the sample's residual check."""
-    lam2_norms = lambda_lq_norms(S)  # before the bundle, to keep the peak low
-    b = _Sample(S)
+    `derived` is S's _Sample when the caller shares it (dynamics.run does);
+    the results are the same bits without it. One eigenvalue pass gives the
+    lambda2+ norms and int det(S). u comes from one strain-space residual
+    check, whose value ||P_st S - S|| / ||S|| is res_constraint. E, K and H1
+    also serve the isometry check, and res_orth and the ratio share the
+    Lamb term and S^2."""
+    b = _Sample(S) if derived is None else derived
+    # the eigenvalue pass first, while no real u or omega is held
+    lam2_norms, det = _lambda_norms_and_det(S)
+    w_re = b.real_velocity()[1]
     e = b.hs(0.0)
     h1 = b.hs(1.0)
-    f = -3.0 * nu * h1 - 4.0 * b.det
+    f = -3.0 * nu * h1 - 4.0 * det
     vals = {
         "E": e,
         "K": b.hs(-1.0),
         "H1": h1,
-        "detS": b.det,
+        "detS": det,
         "trS3": trace_cubed_integral(S),
         "f": f,
         "lam2_norms": lam2_norms,
@@ -485,7 +524,7 @@ def sample_functionals(S: SymTensorField, nu: float, with_ratio: bool) -> dict:
     vals["res_orth"], vals["ratio"] = _orth_and_ratio(
         b, nu if with_ratio and e > 0.0 else None
     )
-    vals["res_vortdet"] = _vortex_det(b)
+    vals["res_vortdet"] = _vortex_det(b, w_re, det)
     vals["res_isometry"] = _isometry(b)
     vals["res_constraint"] = b.res_constraint
     return vals
@@ -507,8 +546,10 @@ class _RecordStream:
         self.prev: tuple[float, dict[float, float]] | None = None
         self.rows: list[tuple[float, float, float, float]] = []
 
-    def record(self, S: SymTensorField, t: float) -> DiagnosticsRecord:
-        vals = sample_functionals(S, self.nu, self.with_ratio)
+    def record(
+        self, S: SymTensorField, t: float, *, derived: _Sample | None = None
+    ) -> DiagnosticsRecord:
+        vals = sample_functionals(S, self.nu, self.with_ratio, derived=derived)
         norms = vals["lam2_norms"]
         for q in Q_VALUES:
             pexp = p_exponent(q)

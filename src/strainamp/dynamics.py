@@ -6,7 +6,9 @@ integrating-factor variable, giving O(dt^5) local error. The strain space
 is {sym grad u : div u = 0} and the scheme commutes with sym grad, so every
 equation is stepped in velocity variables: `step` advances u (3 components,
 not 6) and returns S = sym grad u, in the strain space by construction, not
-by re-projection (the records monitor it as res_constraint).
+by re-projection (the records monitor it as res_constraint). Stage 1 runs
+on the state's own u = -2 div (-lap)^{-1} S, as cfl_dt and the diagnostics
+sample do, so run shares them; the RK variable is its Leray projection.
 
 A state is dealiased (make_state and read_checkpoint ensure it), and every
 right-hand side is dealiased, so a step never leaves the 2/3-rule box of
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics as diag
-from .fields import SYM_WEIGHTS, SymTensorField, VectorField, _mode_sum
+from .fields import SymTensorField, VectorField, _mode_sum
 from .grid import GridSpec, irfft_retained_raw as _irfft_box
 from .operators import (
     _as_spectral,
@@ -38,11 +40,8 @@ from .operators import (
     _s_squared_box,
     _sym_grad_raw,
     _sym_outer_box,
-    _velocity_checked_raw,
     _velocity_raw,
     strain_project,
-    velocity_of,
-    vorticity_of,
 )
 from .spectral import dealias, forward_transform, laplacian
 
@@ -162,11 +161,11 @@ def make_state(S: SymTensorField, t: float, params: SimParams) -> StrainState:
 # right-hand sides take sym grad of it and unpack.
 
 
-def _model_stage(g: GridSpec, s_re: np.ndarray) -> np.ndarray:
-    """(4/3) P_df (-lap)^{-1} div(S^2) on the retained box, from real samples
-    of S: -2/3 P_st(S^2) without its outer sym grad."""
+def _model_stage(g: GridSpec, s2: np.ndarray) -> np.ndarray:
+    """(4/3) P_df (-lap)^{-1} div(S^2) on the retained box, from S^2 on it:
+    -2/3 P_st(S^2) without its outer sym grad."""
     r = g.retained
-    return -(2.0 / 3.0) * _leray_raw(r, _velocity_raw(r, _s_squared_box(g, s_re)))
+    return -(2.0 / 3.0) * _leray_raw(r, _velocity_raw(r, s2))
 
 
 def _full_stage(g: GridSpec, uh: np.ndarray) -> np.ndarray:
@@ -189,18 +188,17 @@ def _strain_rhs(S: SymTensorField, nu: float, du: np.ndarray) -> SymTensorField:
 
 def model_rhs(S: SymTensorField, nu: float) -> SymTensorField:
     """nu lap S - 2/3 P_st(S^2)."""
-    return _strain_rhs(S, nu, _model_stage(S.grid, S.real_samples()))
+    s2 = _s_squared_box(S.grid, S.real_samples())
+    return _strain_rhs(S, nu, _model_stage(S.grid, s2))
 
 
 def full_rhs(S: SymTensorField, nu: float) -> SymTensorField:
     """nu lap S - P_st((u.grad)S + S^2 + omega x omega / 4), evaluated as
     nu lap S - sym grad P_df(omega x u) with u, omega recovered from S
-    (velocity_of checks the strain-space residual). The two forms agree to
-    roundoff while 3 cutoff <= n + 2; on more aliased grids the rotational
-    form is used."""
-    u = velocity_of(S)
-    lamb = _lamb_box(S.grid, u.real_samples(), vorticity_of(u).real_samples())
-    return _strain_rhs(S, nu, -lamb)
+    through the strain-space residual check. The two forms agree to roundoff
+    while 3 cutoff <= n + 2; on more aliased grids the rotational form is
+    used."""
+    return _strain_rhs(S, nu, -diag._Sample(S).lamb)
 
 
 def velocity_rhs(u: VectorField, nu: float) -> VectorField:
@@ -215,19 +213,17 @@ def velocity_rhs(u: VectorField, nu: float) -> VectorField:
 
 def _ifrk4(
     xh: np.ndarray,
+    n1: np.ndarray,
     nonlin: Callable[[np.ndarray], np.ndarray],
     e_half: np.ndarray,
     dt: float,
-    n1: np.ndarray | None = None,
 ) -> np.ndarray:
     """One classical RK4 step on the heat-transformed variable.
 
-    `xh` is a spectral array, `nonlin` maps a stage array to its spectral
-    nonlinearity and `e_half` is the heat multiplier over dt/2, all on one
-    layout; `n1` is the first stage's nonlinearity when already known.
+    `xh` is a spectral array, `n1` the first stage's nonlinearity, `nonlin`
+    maps a stage array to its spectral nonlinearity and `e_half` is the heat
+    multiplier over dt/2, all on one layout.
     """
-    if n1 is None:
-        n1 = nonlin(xh)
     e_full = e_half * e_half
     n2 = nonlin(e_half * (xh + (dt / 2.0) * n1))
     n3 = nonlin(e_half * xh + (dt / 2.0) * n2)
@@ -235,10 +231,14 @@ def _ifrk4(
     return e_full * xh + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
-def step(state: StrainState, dt: float) -> StrainState:
+def step(
+    state: StrainState, dt: float, *, derived: diag._Sample | None = None
+) -> StrainState:
     """Advance one step of size dt in velocity variables; for full_strain, u
     is recovered through the strain-space residual check (ConstraintError)
-    once per step. Raises NonFiniteStateError on overflow.
+    once per step. Raises NonFiniteStateError on overflow. The first stage
+    runs on the state's own u (the model's on its S^2) from `derived`, the
+    state's diagnostics._Sample, built here when not given.
 
     The state must be dealiased (as make_state, step and read_checkpoint
     leave it): the stages run on the retained box only, so a state with
@@ -250,30 +250,28 @@ def step(state: StrainState, dt: float) -> StrainState:
         raise ValueError(f"dt {dt} exceeds dt_max {state.params.dt_max}")
     g = state.S.grid
     r = g.retained
-    if not r.holds(state.S.data):
+    b = diag._Sample(state.S) if derived is None else derived
+    if b.lay is not r:
         raise ValueError(
             "state has modes outside the dealiased box; build the state with make_state"
         )
-    sh = r.pack(state.S.data)
     e_half = np.exp(-(state.params.nu * dt / 2.0) * r.k2)
     eq = state.params.equation
 
-    n1 = None
+    uh = b.velocity(checked=eq == "full_strain")
     if eq == "full_strain":
-        uh = _velocity_checked_raw(r, sh)[0]
+        n1 = -b.lamb
         stage = lambda x: _full_stage(g, x)
     elif eq == "model":
-        uh = _velocity_raw(r, sh)
-        # the first stage reuses S's real samples (cfl_dt has memoized them)
-        n1 = _model_stage(g, state.S.real_samples())
-        stage = lambda x: _model_stage(g, _irfft_box(g, _sym_grad_raw(r, x)))
+        n1 = _model_stage(g, b.s2)
+        s2_of = lambda x: _s_squared_box(g, _irfft_box(g, _sym_grad_raw(r, x)))
+        stage = lambda x: _model_stage(g, s2_of(x))
     else:
-        uh = _velocity_raw(r, sh)
         stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
+        n1 = stage(uh)
     # -2 div (-lap)^{-1} sym grad u = u + grad (-lap)^{-1}(-div u): unprojected,
     # the roundoff gradient part of u would double every step
-    uh = _leray_raw(r, uh)
-    new = _sym_grad_raw(r, _ifrk4(uh, stage, e_half, dt, n1))
+    new = _sym_grad_raw(r, _ifrk4(_leray_raw(r, uh), n1, stage, e_half, dt))
     if not np.all(np.isfinite(new)):
         raise NonFiniteStateError(f"non-finite state after step at t={state.t + dt}")
     return StrainState(
@@ -281,34 +279,28 @@ def step(state: StrainState, dt: float) -> StrainState:
     )
 
 
-def cfl_dt(state: StrainState) -> float:
+def cfl_dt(state: StrainState, *, derived: diag._Sample | None = None) -> float:
     """dt = min(dt_max, cfl dx / max(1, |u|_inf), cfl / max(1, |S|_inf)).
 
-    u is recovered on the retained box, so the state must be dealiased."""
+    `derived` is the state's diagnostics._Sample, as for step."""
     p = state.params
-    g = state.S.grid
-    s_re = state.S.real_samples()
-    r = g.retained
-    u_re = _irfft_box(g, _velocity_raw(r, r.pack(state.S.data)))
-    w6 = SYM_WEIGHTS.reshape(6, 1, 1, 1)
-    s_inf = float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * w6, s_re))))
-    u_inf = float(np.sqrt(np.max(np.sum(u_re * u_re, axis=0))))
+    b = diag._Sample(state.S) if derived is None else derived
     return min(
         p.dt_max,
-        p.cfl * g.dx / max(1.0, u_inf),
-        p.cfl / max(1.0, s_inf),
+        p.cfl * b.g.dx / max(1.0, b.u_inf),
+        p.cfl / max(1.0, b.s_inf),
     )
 
 
-def _enstrophy_and_tail(S: SymTensorField) -> tuple[float, float]:
-    """Total enstrophy and the fraction held in the top 1/8 of retained shells,
-    summed on the retained box (the state is dealiased)."""
-    r = S.grid.retained
-    sh = r.pack(S.data)
-    total = _mode_sum(r, sh, sh)
+def _enstrophy_and_tail(
+    S: SymTensorField, *, derived: diag._Sample | None = None
+) -> tuple[float, float]:
+    """Total enstrophy and the fraction held in the top 1/8 of retained shells."""
+    b = diag._Sample(S) if derived is None else derived
+    total = b.hs(0.0)
     if total == 0.0:
         return 0.0, 0.0
-    return total, _mode_sum(r, sh, sh, mult=r.tail_mask) / total
+    return total, _mode_sum(b.lay, b.sh, b.sh, mult=b.lay.tail_mask) / total
 
 
 # -- the run loop ----------------------------------------------------------------
@@ -328,23 +320,26 @@ def run(
 ) -> BlowupReport:
     """Step until t_end, blowup detection, or resolution loss.
 
-    Emits a DiagnosticsRecord at t=0, every `output_every` steps, and at the
-    final state. Blowup is declared on dt underflow, non-finite values, or
-    E > 1e6 E0; resolution loss when the spectral tail (top 1/8 of retained
-    shells) exceeds 1% of the enstrophy. A checkpoint is rewritten every
-    `checkpoint_every` steps when a path is given.
+    With a sink, emits a DiagnosticsRecord at t=0, every `output_every`
+    steps, and at the final state; without one, only the t = 0 sample (which
+    the report needs) is taken. Each state's diagnostics._Sample serves its
+    sample, cfl_dt and step. Blowup is declared on dt underflow, non-finite
+    values, or E > 1e6 E0; resolution loss when the spectral tail (top 1/8
+    of retained shells) exceeds 1% of the enstrophy. A checkpoint is
+    rewritten every `checkpoint_every` steps when a path is given.
     """
     p = state0.params
     state = state0
+    b = diag._Sample(state.S)
     stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
 
-    def emit(st: StrainState) -> diag.DiagnosticsRecord:
-        rec = stream.record(st.S, st.t)
+    def emit(st: StrainState, derived: diag._Sample) -> diag.DiagnosticsRecord:
+        rec = stream.record(st.S, st.t, derived=derived)
         if sink is not None:
             sink(rec)
         return rec
 
-    rec0 = emit(state)  # the t = 0 sample gives E0, f0 and K0
+    rec0 = emit(state, b)  # the t = 0 sample gives E0, f0 and K0
     E0, f0, K0 = rec0.E, rec0.f, rec0.K
     g0 = f0 / E0**1.5 if E0 > 0 else 0.0
     r0 = f0 / (2.0 * E0) if E0 > 0 else 0.0
@@ -356,7 +351,7 @@ def run(
     outcome = "resolved_to_t_end"
     steps = emitted = 0  # emitted: the step count of the last record
     while state.t < p.t_end - 1e-15:
-        dt = cfl_dt(state)
+        dt = cfl_dt(state, derived=b)
         if steps == 0 and first_dt >= p.dt_min:
             dt = min(dt, first_dt)
         if dt < p.dt_min:
@@ -364,25 +359,26 @@ def run(
             break
         dt = min(dt, p.t_end - state.t)
         try:
-            state = step(state, dt)
+            state = step(state, dt, derived=b)
         except NonFiniteStateError:
             outcome = "blowup_detected"
             break
         steps += 1
-        e_now, tail = _enstrophy_and_tail(state.S)
+        b = diag._Sample(state.S)
+        e_now, tail = _enstrophy_and_tail(state.S, derived=b)
         if not math.isfinite(e_now) or (E0 > 0 and e_now > 1e6 * E0):
             outcome = "blowup_detected"
             break
         if tail > 0.01:
             outcome = "resolution_lost"
             break
-        if steps % p.output_every == 0:
-            emit(state)
+        if sink is not None and steps % p.output_every == 0:
+            emit(state, b)
             emitted = steps
         if checkpoint_every > 0 and checkpoint_path and steps % checkpoint_every == 0:
             write_checkpoint(checkpoint_path, state)
-    if emitted != steps:
-        emit(state)
+    if sink is not None and emitted != steps:
+        emit(state, b)
 
     return BlowupReport(
         g0=g0,

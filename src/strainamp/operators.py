@@ -267,8 +267,10 @@ def advection_term(u: VectorField, S: SymTensorField) -> SymTensorField:
 # -- eigenvalues ------------------------------------------------------------
 
 
-def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted eigenvalues of symmetric 3x3 matrices given as stacked components.
+def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sorted eigenvalues l1 <= l2 <= l3 of symmetric 3x3 matrices given as
+    stacked components, and their determinants (the invariant i3, the same
+    expression as diagnostics._det_raw).
 
     Closed-form trigonometric solution with one Newton polish pass applied
     where the characteristic-polynomial residual exceeds 1e-12 * ||m||^3.
@@ -312,7 +314,8 @@ def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # near a repeated root, l2 = 3q - l1 - l3 or the polish can stray out of order
     l1, l2, l3 = polish(l1), polish(l2), polish(l3)
     lo, hi = np.minimum(l1, l2), np.maximum(l1, l2)
-    return np.minimum(lo, l3), np.maximum(lo, np.minimum(hi, l3)), np.maximum(hi, l3)
+    l2 = np.maximum(lo, np.minimum(hi, l3))
+    return np.minimum(lo, l3), l2, np.maximum(hi, l3), i3
 
 
 def eig_symtensor(m: np.ndarray) -> EigenTriple:
@@ -323,7 +326,7 @@ def eig_symtensor(m: np.ndarray) -> EigenTriple:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     comps = [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
-    l1, l2, l3 = _eig3_raw([np.asarray(v) for v in comps])
+    l1, l2, l3, _ = _eig3_raw([np.asarray(v) for v in comps])
     return EigenTriple(float(l1), float(l2), float(l3))
 
 
@@ -331,7 +334,7 @@ def lambda_fields(S: SymTensorField) -> tuple[ScalarField, ScalarField, ScalarFi
     """Pointwise eigenvalue fields (lambda1, lambda2, lambda2+ = max(0, lambda2))."""
     g = S.grid
     s_re = S.real_samples()
-    l1, l2, _ = _eig3_raw(s_re)
+    l1, l2, _, _ = _eig3_raw(s_re)
     return (
         ScalarField(g, l1),
         ScalarField(g, l2),

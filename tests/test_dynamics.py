@@ -463,6 +463,109 @@ class TestConstraintMonitor:
         assert strain_space_residual(st.S) <= 1e-12
 
 
+def _hand_run(state, every):
+    """run's loop through the public cfl_dt, step and _RecordStream.record
+    alone, so every state's derived fields are rebuilt by each call."""
+    p = state.params
+    stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
+    records = [stream.record(state.S, state.t)]
+    first_dt = LOCAL_EXISTENCE_COEFF / records[0].E ** 2
+    steps = 0
+    while state.t < p.t_end - 1e-15:
+        dt = cfl_dt(state)
+        if steps == 0:
+            dt = min(dt, first_dt)
+        state = step(state, min(dt, p.t_end - state.t))
+        steps += 1
+        if steps % every == 0:
+            records.append(stream.record(state.S, state.t))
+    if steps % every != 0:
+        records.append(stream.record(state.S, state.t))
+    return records, state
+
+
+class TestSharedDerivedFields:
+    # run builds each state's derived fields once and shares them between
+    # the diagnostics sample, cfl_dt and step's first stage; the results are
+    # the bits the three calls give on their own
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_run_matches_hand_loop(self, equation, every):
+        # |u|_inf > 1, so the CFL limit binds through u after the first step
+        st = random_state(
+            GridSpec(16, 16.0), 21, amplitude=50.0, slope=-8.0, equation=equation,
+            t_end=2.5e-3, cfl=5e-4, dt_max=1e-3, output_every=every,
+        )
+        records = []
+        report = run(st, records.append)
+        want, end = _hand_run(st, every)
+        assert len(records) == len(want) == {1: 10, 3: 4}[every]
+        assert records == want
+        assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in want]
+        E0, f0 = want[0].E, want[0].f
+        assert report.outcome == "resolved_to_t_end"
+        assert report.t_outcome == end.t
+        assert (report.f0, report.g0, report.r0) == (f0, f0 / E0**1.5, f0 / (2.0 * E0))
+
+    # a run of 5 steps with a record after each (6 samples), counted in
+    # component transforms and strain-space residual checks
+    @pytest.mark.parametrize(
+        "equation, fwd, inv",
+        [("full_strain", 99, 162), ("model", 144, 162), ("velocity_ns", 174, 132)],
+    )
+    def test_run_counts(self, fft_counts, monkeypatch, equation, fwd, inv):
+        from strainamp import operators
+
+        st = random_state(
+            GridSpec(16, 16.0), 3, slope=-8.0, equation=equation,
+            t_end=5e-3, dt_max=1e-3, output_every=1,
+        )
+        checks = []
+        orig = operators._strain_residual_raw
+        monkeypatch.setattr(
+            operators, "_strain_residual_raw", lambda *a: checks.append(1) or orig(*a)
+        )
+        records = []
+        fft_counts.update(fwd=0, inv=0)
+        run(st, records.append)
+        assert len(records) == 6
+        assert fft_counts == {"fwd": fwd, "inv": inv}
+        assert len(checks) == 6
+
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_run_without_sink_takes_one_sample(self, monkeypatch, equation):
+        st = random_state(
+            GridSpec(16, 16.0), 4, slope=-8.0, equation=equation,
+            t_end=5e-3, dt_max=1e-3, output_every=2,
+        )
+        want = run(st, [].append)
+        calls = []
+        orig = diag.sample_functionals
+        monkeypatch.setattr(
+            diag, "sample_functionals", lambda *a, **k: calls.append(1) or orig(*a, **k)
+        )
+        assert run(st) == want
+        assert len(calls) == 1
+
+    def test_entry_points_reached_through_modules(self, monkeypatch, tmp_path):
+        # perfbench's tracer wraps these module attributes to time each layer
+        seen = set()
+        for module, name in (
+            (dynamics, "cfl_dt"),
+            (dynamics, "step"),
+            (dynamics, "write_checkpoint"),
+            (diag, "sample_functionals"),
+        ):
+            orig = getattr(module, name)
+            wrapped = lambda *a, _f=orig, _n=name, **k: seen.add(_n) or _f(*a, **k)
+            monkeypatch.setattr(module, name, wrapped)
+        st = random_state(
+            GridSpec(16, 16.0), 5, slope=-8.0, t_end=2e-3, dt_max=1e-3, output_every=1
+        )
+        run(st, [].append, checkpoint_every=1, checkpoint_path=str(tmp_path / "c.bin"))
+        assert seen == {"cfl_dt", "step", "write_checkpoint", "sample_functionals"}
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         g = GridSpec(16, 16.0)

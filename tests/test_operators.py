@@ -423,7 +423,7 @@ class TestEigenvalues:
             ]
         )
         for mats, tol in ((exact, 1e-12), (repeated, 1e-7)):
-            l1, l2, l3 = _eig3_raw([mats[:, i, j] for i, j in SYM_PAIRS])
+            l1, l2, l3, _ = _eig3_raw([mats[:, i, j] for i, j in SYM_PAIRS])
             assert np.all(l1 <= l2) and np.all(l2 <= l3)
             err = np.abs(np.stack([l1, l2, l3], axis=1) - np.linalg.eigvalsh(mats))
             norm = np.sqrt(np.sum(mats * mats, axis=(1, 2)))

@@ -95,7 +95,8 @@ def _ifrk4(xh, nonlin, n1, e_half, dt):
 
 def _oracle_step(state, dt):
     """One step in velocity variables: u = P_df(-2 div (-lap)^{-1} S), four
-    stages on u, S = sym grad u; the model's first stage takes S's samples."""
+    stages on u, S = sym grad u. The first stage runs on the state's own,
+    unprojected velocity (the model's on S's samples)."""
     g, p = state.S.grid, state.params
 
     def model_of_samples(s_re):
@@ -117,11 +118,11 @@ def _oracle_step(state, dt):
         uh = velocity_of(state.S).data
     else:
         uh = _velocity_raw(g, state.S.data)
-    uh = _leray_raw(g, uh)
     nonlin = {"model": model, "full_strain": full, "velocity_ns": velocity}[p.equation]
     n1 = model_of_samples(state.S.real_samples()) if p.equation == "model" else nonlin(uh)
     e_half = np.exp(-(p.nu * dt / 2.0) * g.k2)
-    return SymTensorField(g, _sym_grad_raw(g, _ifrk4(uh, nonlin, n1, e_half, dt)))
+    new = _ifrk4(_leray_raw(g, uh), nonlin, n1, e_half, dt)
+    return SymTensorField(g, _sym_grad_raw(g, new))
 
 
 def _strain_form_step(state, dt):
