@@ -13,10 +13,12 @@ from .grid import irfft_raw
 from .operators import (
     _as_real,
     _as_spectral,
+    _by_slab,
     _curl_raw,
     _eig3_raw,
     _lamb_box,
     _s_squared_box,
+    _slabs,
     _strain_project_raw,
     _sym_grad_raw,
     _velocity_checked_raw,
@@ -183,23 +185,35 @@ def r0_of(S: SymTensorField, nu: float) -> float:
 # -- middle-eigenvalue norms ---------------------------------------------------
 
 
-def _lambda_norms_and_det(S: SymTensorField) -> tuple[dict[float, float], float]:
-    """lambda_lq_norms(S) and det_integral(S) from one eigenvalue pass."""
-    _, l2, _, det = _eig3_raw(S.real_samples())
-    l2p = np.maximum(0.0, l2)
-    vol = S.grid.cell_volume
-    out: dict[float, float] = {}
+_FINITE_Q = tuple(q for q in Q_VALUES if math.isfinite(q))
+
+
+def _eigen_slab(out: np.ndarray, s: np.ndarray) -> None:
+    """lambda2+, det S, tr S^3 and lambda2+ ** q for each finite q in Q_VALUES."""
+    _, l2, _, det = _eig3_raw(s)
+    l2p = np.maximum(0.0, l2, out=out[0])
+    out[1], out[2] = det, _tr3_raw(s)
+    for o, q in zip(out[3:], _FINITE_Q):
+        o[...] = l2p**q
+
+
+def _eigen_pass(S: SymTensorField) -> tuple[dict[float, float], float, float]:
+    """lambda_lq_norms(S), det_integral(S) and trace_cubed_integral(S) from
+    one eigenvalue pass."""
+    l2p, det, tr3, *powers = _by_slab(_eigen_slab, 3 + len(_FINITE_Q), S.real_samples())
+    vol, l2p_q = S.grid.cell_volume, dict(zip(_FINITE_Q, powers))
+    norms: dict[float, float] = {}
     for q in Q_VALUES:
         if math.isinf(q):
-            out[q] = float(np.max(l2p))
+            norms[q] = float(np.max(l2p))
         else:
-            out[q] = float((vol * np.sum(l2p**q)) ** (1.0 / q))
-    return out, float(vol * np.sum(det))
+            norms[q] = float((vol * np.sum(l2p_q[q])) ** (1.0 / q))
+    return norms, float(vol * np.sum(det)), float(vol * np.sum(tr3))
 
 
 def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
     """L^q norms of lambda2+ = max(0, lambda2) for q in Q_VALUES."""
-    return _lambda_norms_and_det(S)[0]
+    return _eigen_pass(S)[0]
 
 
 # -- identity residuals ---------------------------------------------------------
@@ -247,8 +261,8 @@ class _Sample:
 
     @cached_property
     def s_inf(self) -> float:
-        s_re, w6 = self.S.real_samples(), SYM_WEIGHTS.reshape(6, 1, 1, 1)
-        return float(np.sqrt(np.max(np.einsum("c...,c...->...", s_re * w6, s_re))))
+        s_sq = _by_slab(_frobenius_sq_slab, 1, self.S.real_samples())
+        return float(np.sqrt(np.max(s_sq)))
 
     @cached_property
     def s2(self) -> np.ndarray:
@@ -270,8 +284,16 @@ class _Sample:
         return self._hs[alpha]
 
 
+def _frobenius_sq_slab(out: np.ndarray, s: np.ndarray) -> None:
+    out[0] = np.einsum("c...,c...->...", s * SYM_WEIGHTS.reshape(6, 1, 1, 1), s)
+
+
+def _norm_sq_slab(out: np.ndarray, v: np.ndarray) -> None:
+    np.sum(v * v, axis=0, out=out[0])
+
+
 def _max_norm(v_re: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(v_re * v_re, axis=0))))
+    return float(np.sqrt(np.max(_by_slab(_norm_sq_slab, 1, v_re))))
 
 
 def _isometry(b: _Sample) -> float:
@@ -324,14 +346,19 @@ def orthogonality_residual(S: SymTensorField) -> float:
 
 
 def _vortex_det(b: _Sample, wdat: np.ndarray, det: float) -> float:
-    s_re = b.S.real_samples()
+    s_re, vol, slabs = b.S.real_samples(), b.g.cell_volume, _slabs(b.g.n)
+    term = np.empty_like(wdat[0])  # one integrand at a time, filled by slab
     pair = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):
-        pair += SYM_WEIGHTS[c] * np.sum(s_re[c] * wdat[i] * wdat[j])
-    pair = float(pair * b.g.cell_volume)
+        for sl in slabs:
+            np.multiply(s_re[c, sl], wdat[i, sl], out=term[sl])
+            term[sl] *= wdat[j, sl]
+        pair += SYM_WEIGHTS[c] * np.sum(term)
+    pair = float(pair * vol)
     lhs = pair + 4.0 * det
-    wmag2 = wdat[0] ** 2 + wdat[1] ** 2 + wdat[2] ** 2
-    wl4_sq = float(np.sqrt(b.g.cell_volume * np.sum(wmag2**2)))
+    for sl in slabs:
+        term[sl] = (wdat[0, sl] ** 2 + wdat[1, sl] ** 2 + wdat[2, sl] ** 2) ** 2
+    wl4_sq = float(np.sqrt(vol * np.sum(term)))
     return abs(lhs) / (math.sqrt(b.hs(0.0)) * wl4_sq + _EPS)
 
 
@@ -500,13 +527,13 @@ def sample_functionals(
 
     `derived` is S's _Sample when the caller shares it (dynamics.run does);
     the results are the same bits without it. One eigenvalue pass gives the
-    lambda2+ norms and int det(S). u comes from one strain-space residual
-    check, whose value ||P_st S - S|| / ||S|| is res_constraint. E, K and H1
-    also serve the isometry check, and res_orth and the ratio share the
-    Lamb term and S^2."""
+    lambda2+ norms, int det(S) and int tr(S^3). u comes from one strain-space
+    residual check, whose value ||P_st S - S|| / ||S|| is res_constraint. E,
+    K and H1 also serve the isometry check, and res_orth and the ratio share
+    the Lamb term and S^2."""
     b = _Sample(S) if derived is None else derived
     # the eigenvalue pass first, while no real u or omega is held
-    lam2_norms, det = _lambda_norms_and_det(S)
+    lam2_norms, det, tr3 = _eigen_pass(S)
     w_re = b.real_velocity()[1]
     e = b.hs(0.0)
     h1 = b.hs(1.0)
@@ -516,7 +543,7 @@ def sample_functionals(
         "K": b.hs(-1.0),
         "H1": h1,
         "detS": det,
-        "trS3": trace_cubed_integral(S),
+        "trS3": tr3,
         "f": f,
         "lam2_norms": lam2_norms,
         "g": f / e**1.5 if e > 0.0 else None,

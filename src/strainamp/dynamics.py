@@ -439,9 +439,11 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
             if not math.isfinite(val):
                 raise CheckpointError(f"non-finite header value {name}={val}")
         count = 6 * n**3
-        raw = np.fromfile(fh, dtype="<f8", count=count)
-        if raw.size != count:
+        # checked before reading, so a header claiming a huge n in front of a
+        # short payload allocates nothing
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * count:
             raise CheckpointError("truncated checkpoint payload")
+        raw = np.fromfile(fh, dtype="<f8", count=count)
     # min and max are NaN or infinite exactly when some sample is, and
     # allocate no mask the size of the payload
     if not (math.isfinite(raw.min()) and math.isfinite(raw.max())):

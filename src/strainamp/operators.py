@@ -8,6 +8,7 @@ and mutually consistent mode by mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -200,7 +201,32 @@ def strain_project(M: SymTensorField) -> SymTensorField:
     return SymTensorField(mf.grid, _strain_project_raw(mf.grid, mf.data))
 
 
-# -- pointwise nonlinear products ------------------------------------------
+# -- pointwise real-space passes -------------------------------------------
+#
+# Every pointwise pass runs over x-slabs of about _SLAB_POINTS points, 128 KB
+# per float64 temporary, so its temporaries stay in cache instead of each op
+# streaming full n^3 arrays. Slabs are views (x is the slowest axis), each
+# point's arithmetic is the same whatever the slab size, and every reduction
+# runs once over a full-size result, so no bit depends on the slab size.
+
+_SLAB_POINTS = 16384
+
+
+def _slabs(n: int) -> list[slice]:
+    """Slices cutting axis x of an n^3 grid into slabs of about _SLAB_POINTS
+    points (at least one plane each)."""
+    k = max(1, _SLAB_POINTS // (n * n))
+    return [slice(i, min(i + k, n)) for i in range(0, n, k)]
+
+
+def _by_slab(kernel: Callable[..., None], nout: int, *arrays: np.ndarray) -> np.ndarray:
+    """A full-size (nout, n, n, n) array filled slab by slab:
+    kernel(out, *ins) writes out, a slab of the result, from ins, the same
+    slab of each (component, n, n, n) input."""
+    out = np.empty((nout,) + arrays[0].shape[1:])
+    for sl in _slabs(out.shape[1]):
+        kernel(out[:, sl], *(a[:, sl] for a in arrays))
+    return out
 
 
 # component c of S^2 is s[a]*s[b] + s[p]*s[q] + s[x]*s[y], summed in that order
@@ -214,20 +240,34 @@ _SYM_SQUARE_TERMS = (
 )
 
 
+def _s_squared_slab(out: np.ndarray, s: np.ndarray) -> None:
+    tmp = np.empty_like(s[0])
+    for o, ((a, b), (p, q), (x, y)) in zip(out, _SYM_SQUARE_TERMS):
+        np.multiply(s[a], s[b], out=o)
+        o += np.multiply(s[p], s[q], out=tmp)
+        o += np.multiply(s[x], s[y], out=tmp)
+
+
 def _s_squared_box(grid: GridSpec, s_re: np.ndarray) -> np.ndarray:
     """Dealiased S^2 on the retained box, from real samples of S."""
-    sq = np.empty_like(s_re)
-    tmp = np.empty_like(s_re[0])
-    for o, ((a, b), (p, q), (x, y)) in zip(sq, _SYM_SQUARE_TERMS):
-        np.multiply(s_re[a], s_re[b], out=o)
-        o += np.multiply(s_re[p], s_re[q], out=tmp)
-        o += np.multiply(s_re[x], s_re[y], out=tmp)
-    return _rfft_retained_raw(grid, sq)
+    return _rfft_retained_raw(grid, _by_slab(_s_squared_slab, 6, s_re))
+
+
+def _sym_outer_slab(out: np.ndarray, v: np.ndarray) -> None:
+    for o, (i, j) in zip(out, SYM_PAIRS):
+        np.multiply(v[i], v[j], out=o)
 
 
 def _sym_outer_box(grid: GridSpec, v_re: np.ndarray) -> np.ndarray:
     """Dealiased v_i v_j on the retained box, from real samples of v."""
-    return _rfft_retained_raw(grid, np.stack([v_re[i] * v_re[j] for i, j in SYM_PAIRS]))
+    return _rfft_retained_raw(grid, _by_slab(_sym_outer_slab, 6, v_re))
+
+
+def _cross_slab(out: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
+    tmp = np.empty_like(u[0])
+    for o, (i, j) in zip(out, ((1, 2), (2, 0), (0, 1))):
+        np.multiply(w[i], u[j], out=o)
+        o -= np.multiply(w[j], u[i], out=tmp)
 
 
 def _lamb_box(grid: GridSpec, u_re: np.ndarray, w_re: np.ndarray) -> np.ndarray:
@@ -239,8 +279,7 @@ def _lamb_box(grid: GridSpec, u_re: np.ndarray, w_re: np.ndarray) -> np.ndarray:
     multiples of I, so sym grad of this is that sum's P_st part, at 3 products
     and one 3-component forward transform. Exact to roundoff while
     3 cutoff <= n + 2 (the 2/3 rule); beyond, both forms alias differently."""
-    pairs = ((1, 2), (2, 0), (0, 1))
-    lamb = np.stack([w_re[i] * u_re[j] - w_re[j] * u_re[i] for i, j in pairs])
+    lamb = _by_slab(_cross_slab, 3, w_re, u_re)
     return _leray_raw(grid.retained, _rfft_retained_raw(grid, lamb))
 
 
@@ -276,35 +315,34 @@ def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, ...]:
     where the characteristic-polynomial residual exceeds 1e-12 * ||m||^3.
     """
     xx, xy, xz, yy, yz, zz = (np.asarray(c, dtype=np.float64) for c in s)
-    q = (xx + yy + zz) / 3.0
-    p1 = xy * xy + xz * xz + yz * yz
+    # products that several expressions share are formed once (same bits)
+    yz2, yzxz, xyyz = yz * yz, yz * xz, xy * yz
+    i1 = xx + yy + zz
+    q = i1 / 3.0
+    two_p1 = 2.0 * (xy * xy + xz * xz + yz2)
     a, b, c = xx - q, yy - q, zz - q
-    p2 = a * a + b * b + c * c + 2.0 * p1
+    p2 = a * a + b * b + c * c + two_p1
     p = np.sqrt(p2 / 6.0)
     psafe = np.where(p > 0, p, 1.0)
     det_b = (
-        a * (b * c - yz * yz) - xy * (xy * c - yz * xz) + xz * (xy * yz - b * xz)
+        a * (b * c - yz2) - xy * (xy * c - yzxz) + xz * (xyyz - b * xz)
     ) / psafe**3
     r = np.clip(det_b / 2.0, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
-    l3 = q + 2.0 * p * np.cos(phi)
-    l1 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    two_p = 2.0 * p
+    l3 = q + two_p * np.cos(phi)
+    l1 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
     l2 = 3.0 * q - l1 - l3
 
     # invariants of the characteristic polynomial l^3 - i1 l^2 + i2 l - i3
-    i1 = xx + yy + zz
-    tr2 = xx * xx + yy * yy + zz * zz + 2.0 * p1
+    tr2 = xx * xx + yy * yy + zz * zz + two_p1
     i2 = 0.5 * (i1 * i1 - tr2)
-    i3 = (
-        xx * (yy * zz - yz * yz)
-        - xy * (xy * zz - yz * xz)
-        + xz * (xy * yz - yy * xz)
-    )
-    scale = np.maximum(tr2**1.5, np.finfo(np.float64).tiny)
+    i3 = xx * (yy * zz - yz2) - xy * (xy * zz - yzxz) + xz * (xyyz - yy * xz)
+    tol = 1e-12 * np.maximum(tr2**1.5, np.finfo(np.float64).tiny)
 
     def polish(lam: np.ndarray) -> np.ndarray:
         f = ((lam - i1) * lam + i2) * lam - i3
-        need = np.abs(f) > 1e-12 * scale
+        need = np.abs(f) > tol
         if not np.any(need):
             return lam
         fp = (3.0 * lam - 2.0 * i1) * lam + i2
@@ -330,13 +368,14 @@ def eig_symtensor(m: np.ndarray) -> EigenTriple:
     return EigenTriple(float(l1), float(l2), float(l3))
 
 
+def _lambda_slab(out: np.ndarray, s: np.ndarray) -> None:
+    l1, l2, _, _ = _eig3_raw(s)
+    out[0], out[1] = l1, l2
+    np.maximum(0.0, l2, out=out[2])
+
+
 def lambda_fields(S: SymTensorField) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Pointwise eigenvalue fields (lambda1, lambda2, lambda2+ = max(0, lambda2))."""
     g = S.grid
-    s_re = S.real_samples()
-    l1, l2, _, _ = _eig3_raw(s_re)
-    return (
-        ScalarField(g, l1),
-        ScalarField(g, l2),
-        ScalarField(g, np.maximum(0.0, l2)),
-    )
+    l1, l2, l2p = _by_slab(_lambda_slab, 3, S.real_samples())
+    return ScalarField(g, l1), ScalarField(g, l2), ScalarField(g, l2p)

@@ -163,7 +163,7 @@ class TestAcceptance:
     def test_c06_enstrophy_identity_along_trajectories(self):
         t0 = time.time()
         g = GridSpec(64, 16.0)
-        worst = 0.0
+        worst = drift = 0.0
         for equation in ("model", "full_strain"):
             params = SimParams(
                 nu=1.0,
@@ -183,11 +183,12 @@ class TestAcceptance:
                 if "res_enstrophy" in r.residuals
             ]
             worst = max(worst, max(res))
+            drift = max(drift, max(r.residuals["res_constraint"] for r in records))
         wall = time.time() - t0
         report(
             "6 enstrophy-identity",
-            worst < 1e-4 and wall < 120.0,
-            f"max residual {worst:.2e}, {wall:.1f}s",
+            worst < 1e-4 and drift <= 1e-12 and wall < 120.0,
+            f"max residual {worst:.2e}, max res_constraint {drift:.1e}, {wall:.1f}s",
         )
 
     @pytest.mark.slow

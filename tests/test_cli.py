@@ -251,6 +251,22 @@ class TestCmdRun:
         assert "truncated checkpoint header" in capsys.readouterr().err
         assert out.read_text() == ""
 
+    def test_absurd_checkpoint_n_exit_2(self, tmp_path, capsys):
+        import struct
+
+        ckpt = tmp_path / "huge.ckpt"
+        header = struct.pack("<QdddB", 4096, 16.0, 0.0, 1.0, 0)
+        ckpt.write_bytes(b"STRN1\x00" + header + bytes(64))
+        out = tmp_path / "out.jsonl"
+        cfgfile = write_config(
+            tmp_path,
+            f"kind = from_checkpoint\npath = {ckpt}\nequation = model\nn = 16\n"
+            f"output_path = {out}\n",
+        )
+        assert cli.main(["run", cfgfile]) == 2
+        assert "truncated checkpoint payload" in capsys.readouterr().err
+        assert out.read_text() == ""
+
 
 class TestCmdVerify:
     def test_quick_passes(self, capsys):

@@ -606,6 +606,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated checkpoint header"):
             read_checkpoint(path)
 
+    def test_absurd_n_is_truncated_not_allocated(self, tmp_path):
+        # n = 4096 claims 3 TiB of payload; only 64 bytes follow the header
+        import struct
+
+        path = tmp_path / "huge.ckpt"
+        header = struct.pack("<QdddB", 4096, 16.0, 0.0, 1.0, 0)
+        path.write_bytes(b"STRN1\x00" + header + bytes(64))
+        with pytest.raises(CheckpointError, match="truncated checkpoint payload"):
+            read_checkpoint(str(path))
+
     def test_layout_header(self, tmp_path):
         g = GridSpec(16, 4.0)
         st = StrainState(
