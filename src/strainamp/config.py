@@ -18,6 +18,7 @@ class ConfigError(ValueError):
 
 
 _SWEEPABLE = ("amplitude", "nu")
+_MAX_RANGE_POINTS = 10_000  # a sweep range builds every point before any run
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _triple(raw: str) -> tuple[float, float, float]:
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != 3:
         raise ValueError
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 # key -> (RunConfig field, value parser), from the field annotations
@@ -139,7 +140,12 @@ def _parse_range(key: str, raw: str) -> list[float]:
         raise ConfigError(f"malformed range for key '{key}': {raw!r}") from None
     if not all(map(math.isfinite, (start, step, end))) or step <= 0 or end < start:
         raise ConfigError(f"malformed range for key '{key}': {raw!r}")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
+    steps = (end - start) / step + 1e-9  # may be inf; count it before building it
+    if steps >= _MAX_RANGE_POINTS:
+        raise ConfigError(
+            f"range for key '{key}' has more than {_MAX_RANGE_POINTS} points: {raw!r}"
+        )
+    count = int(math.floor(steps)) + 1
     return [start + i * step for i in range(count)]
 
 

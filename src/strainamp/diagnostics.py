@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, _mode_sum
-from .grid import irfft_raw
+from .grid import irfft_raw, irfft_retained_raw
 from .operators import (
     _as_real,
     _as_spectral,
@@ -274,7 +274,9 @@ class _Sample:
 
     def real(self, a: np.ndarray) -> np.ndarray:
         """Real samples of coefficients held on lay."""
-        return irfft_raw(self.g, a if self.lay is self.g else self.lay.unpack(a))
+        if self.lay is self.g:
+            return irfft_raw(self.g, a)
+        return irfft_retained_raw(self.g, a)
 
     def hs(self, alpha: float) -> float:
         """hs_norm_sq(S, alpha), computed once per alpha (E, K and H1 are

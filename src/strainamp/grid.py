@@ -39,13 +39,44 @@ def rfft_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
     return _fft.rfftn(a, axes=_AXES, workers=fft_workers(), norm="forward")
 
 
+# The box transforms run pocketfft's multi-axis passes one axis at a time, in
+# its order (the forward: r2c along z, then c2c along x, then y; the inverse:
+# c2c along x, then y, then c2r along z), each in place and only on the lines
+# that hold box data or feed box modes. Every line sees the same arithmetic
+# as inside rfftn/irfftn, so the outputs keep their bits. The forward's 1/n^3
+# is one rounded factor, applied where pocketfft applies it, to the r2c
+# output; 1/n on each pass would round differently unless n is a power of 2.
+
+
+def _pass(fn, a: np.ndarray, axis: int, workers: int, norm: str) -> None:
+    """1-D transform `fn` of view `a` along `axis`, written back into `a`
+    (overwrite_x permits scipy to work in place but does not promise it)."""
+    out = fn(a, axis=axis, norm=norm, overwrite_x=True, workers=workers)
+    if not np.shares_memory(out, a):
+        a[...] = out
+
+
 def rfft_retained_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
     """Forward transform gathered onto the retained box: the dealiased
-    coefficients, without the zeros outside it."""
-    return grid.retained.pack(rfft_raw(grid, a))
+    coefficients, without the zeros outside it. Equal bit for bit to
+    grid.retained.pack(rfft_raw(grid, a))."""
+    r, w = grid.retained, fft_workers()
+    out = _fft.rfftn(a, axes=(-1,), workers=w, norm="backward")
+    kept = out[..., : grid.cutoff]
+    parts = kept.view(np.float64)  # real and imaginary parts, scaled alike
+    parts *= np.float64(1 / np.longdouble(grid.n) ** 3)
+    _pass(_fft.fft, kept, -3, w, "backward")
+    for rows in r.rows:
+        _pass(_fft.fft, kept[..., rows, :, :], -2, w, "backward")
+    return r.pack(out)
 
 
 def irfft_raw(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
+    """Real samples of full-layout coefficients `ah`, through the pruned box
+    passes when `ah` is zero outside the retained box (the same bits)."""
+    r = grid.retained
+    if r.holds(ah):
+        return irfft_retained_raw(grid, r.pack(ah))
     n = grid.n
     return _fft.irfftn(
         ah, s=(n, n, n), axes=_AXES, workers=fft_workers(), norm="forward"
@@ -53,8 +84,15 @@ def irfft_raw(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
 
 
 def irfft_retained_raw(grid: "GridSpec", bh: np.ndarray) -> np.ndarray:
-    """Real samples of coefficients held on the retained box."""
-    return irfft_raw(grid, grid.retained.unpack(bh))
+    """Real samples of coefficients held on the retained box. Equal bit for
+    bit to irfftn of grid.retained.unpack(bh) over the three grid axes."""
+    r, w = grid.retained, fft_workers()
+    buf = r.unpack(bh)
+    kept = buf[..., : grid.cutoff]
+    for rows in r.rows:
+        _pass(_fft.ifft, kept[..., rows, :], -3, w, "forward")
+    _pass(_fft.ifft, kept, -2, w, "forward")
+    return _fft.irfftn(buf, s=(grid.n,), axes=(-1,), workers=w, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -271,6 +309,7 @@ class RetainedModes:
         self.shape = (2 * c - 1, 2 * c - 1, c)
         # the box is four blocks of the full layout: (lo | hi) x (lo | hi) x [:c]
         lo, hi = slice(0, c), slice(n - c + 1, n)
+        self.rows = (lo, hi)  # the box indices along a full axis
         self._blocks = [
             ((bx, by, slice(None)), (fx, fy, slice(0, c)))
             for bx, fx in ((slice(0, c), lo), (slice(c, None), hi))

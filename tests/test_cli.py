@@ -7,7 +7,7 @@ import typing
 import numpy as np
 import pytest
 
-from strainamp import cli
+from strainamp import cli, config
 from strainamp import diagnostics as diag
 from strainamp.config import ConfigError, RunConfig, parse_config, parse_sweep_config
 from strainamp.grid import GridSpec
@@ -140,6 +140,41 @@ class TestConfigSchema:
             parse_config(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("raw", ["nan,0,0", "inf,0,0", "0,-inf,0", "0,0,1e999"])
+    def test_non_finite_center_names_key(self, raw):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"kind = colliding_jets\nequation = model\ncenter = {raw}\n")
+        assert str(exc.value) == f"invalid value for key 'center': {raw!r}"
+
+
+class TestSweepRangeSize:
+    # the count is checked before any point is built, so none of these
+    # allocates the range it describes
+    @pytest.mark.parametrize(
+        "raw", ["0:1e-12:1", "0:1:10000", "-1e308:1e-300:1e308"]
+    )
+    def test_oversized_range_names_key(self, raw):
+        text = f"kind = colliding_jets\nequation = model\namplitude = {raw}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_sweep_config(text)
+        assert str(exc.value) == (
+            f"range for key 'amplitude' has more than 10000 points: {raw!r}"
+        )
+
+    def test_limit_is_inclusive(self):
+        _, ranges = parse_sweep_config(
+            "kind = colliding_jets\nequation = model\nnu = 1:1:10000\n"
+        )
+        assert len(ranges["nu"]) == config._MAX_RANGE_POINTS
+        assert ranges["nu"][-1] == 10000.0
+
+    def test_limit_is_checked_before_building(self, monkeypatch):
+        monkeypatch.setattr(config, "_MAX_RANGE_POINTS", 3)
+        text = "kind = colliding_jets\nequation = model\nnu = {}\n"
+        assert parse_sweep_config(text.format("1:1:3"))[1]["nu"] == [1.0, 2.0, 3.0]
+        with pytest.raises(ConfigError, match="key 'nu' has more than 3 points"):
+            parse_sweep_config(text.format("1:1:4"))
+
 
 class TestCmdRun:
     def test_t_end_zero(self, tmp_path, capsys):
@@ -164,6 +199,14 @@ class TestCmdRun:
         rc = cli.main(["run", cfgfile])
         assert rc == 2
         assert "vicosity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["nan,0,0", "inf,0,0"])
+    def test_non_finite_center_exit_2(self, tmp_path, capsys, raw):
+        text = f"kind = colliding_jets\nequation = model\nn = 16\ncenter = {raw}\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid value for key 'center': {raw!r}" in err
+        assert "Traceback" not in err
 
     def test_blowup_exit_10(self, tmp_path):
         g, H, D = jets_constants()
@@ -359,6 +402,13 @@ class TestCmdSweep:
     def test_malformed_range_exit_2(self, tmp_path, capsys):
         text = "kind = colliding_jets\nequation = model\namplitude = 1:2\n"
         assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
+
+    def test_oversized_range_exit_2(self, tmp_path, capsys):
+        text = "kind = colliding_jets\nequation = model\nn = 16\namplitude = 0:1e-12:1\n"
+        assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "range for key 'amplitude' has more than 10000 points" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key, raw", [("nu", "0:1:inf"), ("amplitude", "nan:1:2")]
