@@ -66,6 +66,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        fft_workers()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     results = run_checks(args.level)
     print(format_table(results))
     failures = [r for r in results if not r.passed]
@@ -79,6 +84,8 @@ def cmd_sweep(args) -> int:
     try:
         base, ranges = parse_sweep_config(_read(args.config))
         fft_workers()
+        # opened before any point runs, so a bad path costs no computation
+        out = sys.stdout if base.output_path == "-" else open(base.output_path, "w")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -94,11 +101,9 @@ def cmd_sweep(args) -> int:
             return m, nu, None, str(exc)
         return m, nu, report, None
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        rows = list(pool.map(one, points))
-
-    out = sys.stdout if base.output_path == "-" else open(base.output_path, "w")
     try:
+        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            rows = list(pool.map(one, points))
         out.write("m,nu,f0,g0,r0,outcome,t_outcome\n")
         for m, nu, rep, _ in rows:
             if rep is None:

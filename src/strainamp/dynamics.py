@@ -30,7 +30,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .fields import SymTensorField, VectorField, _mode_sum
-from .grid import GridSpec, irfft_retained_raw as _irfft_box
+from .grid import GridSpec, irfft_retained_raw as _irfft_box, rfft_retained_raw
 from .operators import (
     _as_spectral,
     _curl_raw,
@@ -38,12 +38,12 @@ from .operators import (
     _lamb_box,
     _leray_raw,
     _s_squared_box,
+    _strain_project_raw,
     _sym_grad_raw,
     _sym_outer_box,
     _velocity_raw,
-    strain_project,
 )
-from .spectral import dealias, forward_transform, laplacian
+from .spectral import laplacian
 
 __all__ = [
     "EQUATIONS",
@@ -149,9 +149,11 @@ class BlowupReport:
 
 
 def make_state(S: SymTensorField, t: float, params: SimParams) -> StrainState:
-    """Project and dealias S onto the constraint space and wrap it as a state."""
-    sf = dealias(strain_project(_as_spectral(S)))
-    return StrainState(S=sf, t=t, params=params)
+    """S as a state on the strain space: a run's one projection, P_st on the
+    retained box (so dealiased), bit for bit dealias(strain_project(S))."""
+    r = S.grid.retained
+    sh = r.unpack(_strain_project_raw(r, r.pack(_as_spectral(S).data)))
+    return StrainState(S=SymTensorField(S.grid, sh), t=t, params=params)
 
 
 # -- right-hand sides ---------------------------------------------------------
@@ -422,7 +424,8 @@ def write_checkpoint(path: str, state: StrainState) -> None:
 
 
 def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainState:
-    """Read a checkpoint, with the nu and equation it stores."""
+    """Read a checkpoint, with the nu and equation it stores, straight onto the
+    retained box: dealiased (step accepts the restart), not projected."""
     with open(path, "rb") as fh:
         magic = fh.read(6)
         if magic != _CHECKPOINT_MAGIC:
@@ -450,12 +453,7 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
         c = int(np.flatnonzero(~np.isfinite(raw))[0]) // n**3
         raise CheckpointError(f"non-finite payload sample in component {c}")
     grid = GridSpec(int(n), box_length, dealias_fraction)
-    comps = raw.reshape(6, n**3)
-    data = np.stack(
-        [comps[c].reshape((n, n, n), order="F") for c in range(6)]
-    )
-    params = SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code])
-    S = SymTensorField(grid, np.ascontiguousarray(grid.from_monotone(data)))
-    # dealiased like make_state, so the roundoff the transform leaves outside
-    # the retained box is dropped and step accepts the restart
-    return StrainState(S=dealias(forward_transform(S)), t=t, params=params)
+    # each component is stored x fastest: (z, y, x) in C order
+    data = grid.from_monotone(raw.reshape(6, n, n, n).transpose(0, 3, 2, 1))
+    S = SymTensorField(grid, grid.retained.unpack(rfft_retained_raw(grid, data)))
+    return StrainState(S, t, SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code]))

@@ -203,7 +203,8 @@ def perturbed_family(
 
 
 def initial_strain(grid: GridSpec, spec: InitSpec) -> SymTensorField:
-    """Build the initial strain tensor for a run from an InitSpec.
+    """Build the initial strain tensor for a run from an InitSpec, dealiased
+    but not projected: dynamics.make_state projects it (a hessian_probe to 0).
 
     perturbed_family uses colliding jets as the base M and, as Q, the strain
     of a seeded random solenoidal field restricted to the highest shell band
@@ -233,13 +234,12 @@ def initial_strain(grid: GridSpec, spec: InitSpec) -> SymTensorField:
     elif spec.kind == "from_checkpoint":
         from .dynamics import read_checkpoint
 
-        state = read_checkpoint(spec.path, dealias_fraction=grid.dealias_fraction)
-        if state.S.grid.n != grid.n or state.S.grid.box_length != grid.box_length:
+        S = read_checkpoint(spec.path, dealias_fraction=grid.dealias_fraction).S
+        if S.grid.n != grid.n or S.grid.box_length != grid.box_length:
             raise ValueError(
                 "checkpoint grid does not match the configured grid: "
-                f"{state.S.grid.n}/{state.S.grid.box_length} vs {grid.n}/{grid.box_length}"
+                f"{S.grid.n}/{S.grid.box_length} vs {grid.n}/{grid.box_length}"
             )
-        S = state.S
     else:  # pragma: no cover - InitSpec validates kinds
         raise ValueError(f"unknown initial-data kind {spec.kind!r}")
-    return dealias(strain_project(_as_spectral(S)))
+    return dealias(S)

@@ -16,7 +16,8 @@ from strainamp.operators import strain_of
 
 
 def jets_constants(n=48, L=12.0):
-    # constants of the run's actual initial state (projected and dealiased)
+    # constants of the run's initial strain (dealiased; the jets already lie
+    # on the strain space, so make_state's projection moves them by roundoff)
     from strainamp.initdata import InitSpec, initial_strain
 
     g = GridSpec(n, L)
@@ -420,6 +421,20 @@ class TestCmdSweep:
         assert f"malformed range for key '{key}'" in err
         assert "Traceback" not in err
 
+    def test_unwritable_output_exit_2_before_any_point(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        target = str(tmp_path / "missing_dir" / "x.csv")
+        text = (
+            "kind = colliding_jets\nequation = model\nn = 16\namplitude = 1:1:2\n"
+            f"t_end = 0\noutput_path = {target}\n"
+        )
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a point ran"))
+        assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and target in err
+        assert "Traceback" not in err
+
     def test_invalid_point_keeps_other_rows(self, tmp_path, capsys):
         text = (
             "kind = colliding_jets\nequation = model\nn = 16\namplitude = 2\n"
@@ -527,6 +542,15 @@ class TestThreadCap:
         assert cli.main(["run", cfgfile]) == 2
         err = capsys.readouterr().err
         assert "STRAINAMP_THREADS" in err and "'abc'" in err
+
+    def test_invalid_value_verify_exit_2(self, monkeypatch, capsys):
+        # a failed check exits 1; a bad variable must not look like one
+        monkeypatch.setenv("STRAINAMP_THREADS", "abc")
+        monkeypatch.setattr(cli, "run_checks", lambda level: pytest.fail("checks ran"))
+        assert cli.main(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: STRAINAMP_THREADS" in captured.err and "'abc'" in captured.err
 
     def test_invalid_value_sweep_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STRAINAMP_THREADS", "abc")

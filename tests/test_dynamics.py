@@ -566,6 +566,114 @@ class TestSharedDerivedFields:
         assert seen == {"cfl_dt", "step", "write_checkpoint", "sample_functionals"}
 
 
+class TestRunLifetime:
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_nothing_derived_outlives_the_run(self, monkeypatch, equation):
+        # with the cycle collector off, anything a reference cycle holds stays
+        # alive: every stepped state's S and every bundle must be freed by
+        # reference counting alone once run returns
+        import gc
+        import weakref
+
+        refs = []
+        orig_step, orig_sample = dynamics.step, diag._Sample
+
+        def stepped(*a, **k):
+            st = orig_step(*a, **k)
+            refs.append(weakref.ref(st.S))
+            return st
+
+        def bundle(S):
+            b = orig_sample(S)
+            refs.append(weakref.ref(b))
+            return b
+
+        monkeypatch.setattr(dynamics, "step", stepped)
+        monkeypatch.setattr(diag, "_Sample", bundle)
+        st = random_state(
+            GridSpec(16, 16.0), 8, slope=-8.0, equation=equation,
+            t_end=5e-3, dt_max=1e-3, output_every=2,
+        )
+        gc.disable()
+        try:
+            run(st, [].append)
+            assert len(refs) == 11  # 5 stepped states, 6 bundles
+            assert [r() for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
+
+
+class TestOneProjection:
+    # make_state is the one projection onto the strain space a run's initial
+    # data gets; it runs on the retained box and gives the bits of the
+    # full-layout expression
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [16, 18, 30, 32, 48, 64])
+    def test_make_state_bits(self, n, fraction):
+        from strainamp.initdata import InitSpec, initial_strain
+        from strainamp.operators import _as_spectral, strain_project
+        from strainamp.spectral import dealias
+
+        g = GridSpec(n, 16.0, fraction)
+        noise = np.random.default_rng(n).standard_normal((6,) + g.real_shape)
+        inputs = [
+            initial_strain(g, InitSpec(kind=kind, seed=3))
+            for kind in ("colliding_jets", "random_solenoidal", "hessian_probe")
+        ] + [SymTensorField(g, noise), strain_of(random_solenoidal(g, 5))]
+        for S in inputs:
+            want = dealias(strain_project(_as_spectral(S))).data
+            assert make_state(S, 0.0, params()).S.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 18, 32])
+    def test_read_checkpoint_bits(self, tmp_path, n, fraction):
+        from strainamp.spectral import dealias, forward_transform
+
+        g = GridSpec(n, 16.0, fraction)
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, step(random_state(g, 19, amplitude=2.0), 1e-3))
+        # the decode of the previous reader: one component at a time, then
+        # the full-layout transform, dealiased
+        raw = np.fromfile(path, dtype="<f8", offset=39).reshape(6, n**3)
+        data = np.stack([raw[c].reshape((n, n, n), order="F") for c in range(6)])
+        want = dealias(forward_transform(SymTensorField(g, g.from_monotone(data))))
+        got = read_checkpoint(path, dealias_fraction=fraction).S
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["colliding_jets", "random_solenoidal", "hessian_probe",
+                 "perturbed_family", "from_checkpoint"],
+    )
+    def test_one_projection_per_setup(self, tmp_path, monkeypatch, kind):
+        from strainamp import cli, operators
+        from strainamp.config import RunConfig
+        from strainamp.grid import RetainedModes
+
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, random_state(GridSpec(16, 16.0), 20))
+        calls = []
+        for module in (operators, dynamics):
+            orig = module._strain_project_raw
+            monkeypatch.setattr(
+                module, "_strain_project_raw",
+                lambda lay, mh, _f=orig: calls.append(
+                    "box" if isinstance(lay, RetainedModes) else "full"
+                ) or _f(lay, mh),
+            )
+        cfg = RunConfig(kind=kind, equation="model", n=16, box_length=16.0,
+                        path=path, lam=2.0)
+        cli._build_state(cfg)
+        assert calls == (["full", "box"] if kind == "perturbed_family" else ["box"])
+
+    def test_hessian_probe_annihilated(self):
+        from strainamp.initdata import InitSpec, initial_strain
+
+        S = initial_strain(GridSpec(32, 16.0), InitSpec(kind="hessian_probe"))
+        assert l2_norm_sq(S) > 0
+        out = make_state(S, 0.0, params()).S
+        assert math.sqrt(l2_norm_sq(out) / l2_norm_sq(S)) < 1e-14
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         g = GridSpec(16, 16.0)
