@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, _mode_sum
-from .grid import irfft_raw, irfft_retained_raw
+from .grid import _slabs, irfft_raw, irfft_retained_raw
 from .operators import (
     _as_real,
     _as_spectral,
@@ -18,7 +18,6 @@ from .operators import (
     _eig3_raw,
     _lamb_box,
     _s_squared_box,
-    _slabs,
     _strain_project_raw,
     _sym_grad_raw,
     _velocity_checked_raw,
@@ -224,15 +223,19 @@ class _Sample:
     dynamics.step and sample_functionals. On `lay`, the retained box when S
     is dealiased and the full layout otherwise (see _layout): S (`sh`), then
     on first use u, |u|_inf, |S|_inf, the norms of S (hs), and on the box the
-    Lamb term P_df(omega x u) and S^2. Real samples of u and omega are
-    dropped by the call that makes them."""
+    Lamb term P_df(omega x u) and S^2. Real samples of omega are dropped by
+    the call that makes them, and so are those of u unless `keep_real_u`:
+    then they are held until take_real_u (a velocity_ns step's first stage)
+    takes them."""
 
-    def __init__(self, S: SymTensorField) -> None:
+    def __init__(self, S: SymTensorField, keep_real_u: bool = False) -> None:
         self.S = S
         self.g = S.grid
         self.lay, self.sh = _layout(S)
         self.uh = self.res_constraint = None  # set by velocity()
         self._hs: dict[float, float] = {}
+        self._keep_u = keep_real_u
+        self._u_re = None
 
     def velocity(self, checked: bool = False) -> np.ndarray:
         """u on lay; `checked` runs the strain-space residual check once."""
@@ -242,10 +245,22 @@ class _Sample:
             self.uh = _velocity_raw(self.lay, self.sh)
         return self.uh
 
+    def _real_u(self, uh: np.ndarray) -> np.ndarray:
+        u_re = self.real(uh)
+        if self._keep_u:
+            self._u_re = u_re
+        return u_re
+
+    def take_real_u(self) -> np.ndarray:
+        """Real samples of u: those u_inf or real_velocity kept, else made now.
+        The bundle holds them no longer."""
+        u_re, self._u_re = self._u_re, None
+        return self.real(self.velocity()) if u_re is None else u_re
+
     def real_velocity(self) -> tuple[np.ndarray, np.ndarray]:
         """Real samples of u (checked) and omega; sets u_inf and lamb."""
         uh = self.velocity(checked=True)
-        u_re, w_re = self.real(uh), self.real(_curl_raw(self.lay, uh))
+        u_re, w_re = self._real_u(uh), self.real(_curl_raw(self.lay, uh))
         self.u_inf = _max_norm(u_re)
         self.lamb = _lamb_box(self.g, u_re, w_re)
         return u_re, w_re
@@ -257,7 +272,7 @@ class _Sample:
 
     @cached_property
     def u_inf(self) -> float:
-        return _max_norm(self.real(self.velocity()))
+        return _max_norm(self._real_u(self.velocity()))
 
     @cached_property
     def s_inf(self) -> float:

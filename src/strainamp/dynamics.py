@@ -8,7 +8,8 @@ equation is stepped in velocity variables: `step` advances u (3 components,
 not 6) and returns S = sym grad u, in the strain space by construction, not
 by re-projection (the records monitor it as res_constraint). Stage 1 runs
 on the state's own u = -2 div (-lap)^{-1} S, as cfl_dt and the diagnostics
-sample do, so run shares them; the RK variable is its Leray projection.
+sample do, so run shares them (velocity_ns takes the real samples of u they
+made); the RK variable is its Leray projection.
 
 A state is dealiased (make_state and read_checkpoint ensure it), and every
 right-hand side is dealiased, so a step never leaves the 2/3-rule box of
@@ -239,8 +240,9 @@ def step(
     """Advance one step of size dt in velocity variables; for full_strain, u
     is recovered through the strain-space residual check (ConstraintError)
     once per step. Raises NonFiniteStateError on overflow. The first stage
-    runs on the state's own u (the model's on its S^2) from `derived`, the
-    state's diagnostics._Sample, built here when not given.
+    runs on the state's own u (the model's on its S^2, velocity_ns's on the
+    real samples of u it keeps) from `derived`, the state's
+    diagnostics._Sample, built here when not given.
 
     The state must be dealiased (as make_state, step and read_checkpoint
     leave it): the stages run on the retained box only, so a state with
@@ -270,7 +272,7 @@ def step(
         stage = lambda x: _model_stage(g, s2_of(x))
     else:
         stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
-        n1 = stage(uh)
+        n1 = _velocity_stage(g, b.take_real_u())
     # -2 div (-lap)^{-1} sym grad u = u + grad (-lap)^{-1}(-div u): unprojected,
     # the roundoff gradient part of u would double every step
     new = _sym_grad_raw(r, _ifrk4(_leray_raw(r, uh), n1, stage, e_half, dt))
@@ -332,7 +334,8 @@ def run(
     """
     p = state0.params
     state = state0
-    b = diag._Sample(state.S)
+    keep_u = p.equation == "velocity_ns"  # for the first stage of each step
+    b = diag._Sample(state.S, keep_u)
     stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
 
     def emit(st: StrainState, derived: diag._Sample) -> diag.DiagnosticsRecord:
@@ -366,7 +369,7 @@ def run(
             outcome = "blowup_detected"
             break
         steps += 1
-        b = diag._Sample(state.S)
+        b = diag._Sample(state.S, keep_u)
         e_now, tail = _enstrophy_and_tail(state.S, derived=b)
         if not math.isfinite(e_now) or (E0 > 0 and e_now > 1e6 * E0):
             outcome = "blowup_detected"
@@ -407,15 +410,17 @@ def write_checkpoint(path: str, state: StrainState) -> None:
     The file is written beside `path` and renamed onto it, so a write that
     fails midway leaves the previous checkpoint intact."""
     g = state.S.grid
-    s_re = g.to_monotone(state.S.real_samples())
+    # (component, z, y, x) in C order, x fastest: one copy (astype copies
+    # only on a big-endian host)
+    payload = g.to_monotone(state.S.real_samples().transpose(0, 3, 2, 1))
+    payload = payload.astype("<f8", copy=False)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CHECKPOINT_MAGIC)
             fh.write(_HEADER.pack(g.n, g.box_length, state.t, state.params.nu,
                                   _EQUATION_CODE[state.params.equation]))
-            for c in range(6):
-                fh.write(s_re[c].astype("<f8").ravel(order="F").tobytes())
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -453,7 +458,8 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
         c = int(np.flatnonzero(~np.isfinite(raw))[0]) // n**3
         raise CheckpointError(f"non-finite payload sample in component {c}")
     grid = GridSpec(int(n), box_length, dealias_fraction)
-    # each component is stored x fastest: (z, y, x) in C order
+    # each component is stored x fastest: (z, y, x) in C order; the gather
+    # makes z fastest, so the forward transform's z-lines are contiguous
     data = grid.from_monotone(raw.reshape(6, n, n, n).transpose(0, 3, 2, 1))
     S = SymTensorField(grid, grid.retained.unpack(rfft_retained_raw(grid, data)))
     return StrainState(S, t, SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code]))

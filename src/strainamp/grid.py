@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.fft as _fft
@@ -39,6 +41,25 @@ def rfft_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
     return _fft.rfftn(a, axes=_AXES, workers=fft_workers(), norm="forward")
 
 
+# -- x-slabs ------------------------------------------------------------------
+#
+# Every pointwise real-space pass and every forward box transform runs over
+# x-slabs of about _SLAB_POINTS points, 128 KB per float64 temporary, so its
+# temporaries stay in cache instead of each op streaming full n^3 arrays.
+# Slabs are views (x is the slowest axis), each point's arithmetic and each
+# z-line's transform are the same whatever the slab size, and every
+# reduction runs once over a full-size result, so no bit depends on it.
+
+_SLAB_POINTS = 16384
+
+
+def _slabs(n: int) -> list[slice]:
+    """Slices cutting axis x of an n^3 grid into slabs of about _SLAB_POINTS
+    points (at least one plane each)."""
+    k = max(1, _SLAB_POINTS // (n * n))
+    return [slice(i, min(i + k, n)) for i in range(0, n, k)]
+
+
 # The box transforms run pocketfft's multi-axis passes one axis at a time, in
 # its order (the forward: r2c along z, then c2c along x, then y; the inverse:
 # c2c along x, then y, then c2r along z), each in place and only on the lines
@@ -46,6 +67,12 @@ def rfft_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
 # as inside rfftn/irfftn, so the outputs keep their bits. The forward's 1/n^3
 # is one rounded factor, applied where pocketfft applies it, to the r2c
 # output; 1/n on each pass would round differently unless n is a power of 2.
+#
+# The forward shares one slab loop with the pseudo-spectral products that
+# feed it: each x-slab of the product is built into one reused slab buffer,
+# r2c-transformed along z, and only its first `cutoff` z-modes are kept, in a
+# compact (..., n, n, cutoff) buffer. No full-size product or full-height
+# half-spectrum is formed; the x and y passes then run on the compact buffer.
 
 
 def _pass(fn, a: np.ndarray, axis: int, workers: int, norm: str) -> None:
@@ -56,19 +83,52 @@ def _pass(fn, a: np.ndarray, axis: int, workers: int, norm: str) -> None:
         a[...] = out
 
 
-def rfft_retained_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
-    """Forward transform gathered onto the retained box: the dealiased
-    coefficients, without the zeros outside it. Equal bit for bit to
-    grid.retained.pack(rfft_raw(grid, a))."""
+def _r2c_kept(grid, kernel, nout, arrays, workers) -> np.ndarray:
+    """The forward's first pass, slab by slab: the r2c along z of the product
+    (or of arrays[0] when kernel is None), cut to its first cutoff z-modes.
+    Its slab temporaries are freed on return, before the x and y passes."""
+    n, c = grid.n, grid.cutoff
+    slabs = _slabs(n)
+    if kernel is None:
+        (a,) = arrays
+        lead = a.shape[:-3]
+    else:
+        lead = (nout,)
+        buf = np.empty((nout, slabs[0].stop, n, n))  # the first slab is the widest
+    out = np.empty(lead + (n, n, c), dtype=np.complex128)
+    for sl in slabs:
+        if kernel is None:
+            src = a[..., sl, :, :]
+        else:
+            src = buf[:, : sl.stop - sl.start]
+            kernel(src, *(x[:, sl] for x in arrays))
+        z = _fft.rfftn(src, axes=(-1,), workers=workers, norm="backward")
+        out[..., sl, :, :] = z[..., :c]
+    return out
+
+
+def _rfft_box_by_slab(
+    grid: "GridSpec", kernel: Callable[..., None] | None, nout: int, *arrays: np.ndarray
+) -> np.ndarray:
+    """rfft_retained_raw of the (nout, n, n, n) product that kernel(out, *ins)
+    writes slab by slab (out a slab of the product, ins the same slab of each
+    (component, n, n, n) input), without forming it. With kernel None,
+    rfft_retained_raw of arrays[0] itself (any leading axes)."""
     r, w = grid.retained, fft_workers()
-    out = _fft.rfftn(a, axes=(-1,), workers=w, norm="backward")
-    kept = out[..., : grid.cutoff]
+    kept = _r2c_kept(grid, kernel, nout, arrays, w)
     parts = kept.view(np.float64)  # real and imaginary parts, scaled alike
     parts *= np.float64(1 / np.longdouble(grid.n) ** 3)
     _pass(_fft.fft, kept, -3, w, "backward")
     for rows in r.rows:
         _pass(_fft.fft, kept[..., rows, :, :], -2, w, "backward")
-    return r.pack(out)
+    return r.pack(kept)
+
+
+def rfft_retained_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
+    """Forward transform gathered onto the retained box: the dealiased
+    coefficients, without the zeros outside it. Equal bit for bit to
+    grid.retained.pack(rfft_raw(grid, a))."""
+    return _rfft_box_by_slab(grid, None, 0, a)
 
 
 def irfft_raw(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
@@ -160,7 +220,7 @@ class GridSpec:
         """Sample coordinates along one axis in FFT storage order: index j holds
         x = modes1[j] * dx, covering [-L/2, L/2) with the origin at index 0.
         This ordering makes exp(i k x_j) = exp(2 pi i m j / n) exactly, so
-        transforms carry no origin phase; use monotone_order() for I/O."""
+        transforms carry no origin phase; use to_monotone() for I/O."""
         return self.dx * self.modes1.astype(np.float64)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,11 +229,19 @@ class GridSpec:
         return x[:, None, None], x[None, :, None], x[None, None, :]
 
     def to_monotone(self, a: np.ndarray) -> np.ndarray:
-        """Reorder trailing grid axes from FFT storage order to increasing x."""
-        return np.roll(a, (self.n // 2,) * 3, axis=(-3, -2, -1))
+        """Reorder trailing grid axes from FFT storage order to increasing x:
+        a roll by n/2 on each, which swaps its two halves (n is even),
+        gathered in one copy into a new C-ordered array."""
+        h = self.n // 2
+        out = np.empty(a.shape, dtype=a.dtype)
+        halves = ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h)))
+        for (ox, ix), (oy, iy), (oz, iz) in itertools.product(halves, repeat=3):
+            out[..., ox, oy, oz] = a[..., ix, iy, iz]
+        return out
 
     def from_monotone(self, a: np.ndarray) -> np.ndarray:
-        return np.roll(a, (-(self.n // 2),) * 3, axis=(-3, -2, -1))
+        """The inverse of to_monotone, which is the same swap of halves."""
+        return self.to_monotone(a)
 
     # -- mode indices and wavenumbers ------------------------------------
 
@@ -329,7 +397,8 @@ class RetainedModes:
         self.tail_mask = self.pack(grid.tail_mask)
 
     def pack(self, a: np.ndarray) -> np.ndarray:
-        """Gather the box out of a full-layout array (leading axes kept)."""
+        """Gather the box out of a full-layout array (leading axes kept; the
+        halved axis may be cut to its first cutoff modes)."""
         out = np.empty(a.shape[:-3] + self.shape, dtype=a.dtype)
         for box, full in self._blocks:
             out[(..., *box)] = a[(..., *full)]

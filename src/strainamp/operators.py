@@ -13,11 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import SYM_PAIRS, ScalarField, SymTensorField, VectorField, _mode_sum
-from .grid import (
-    GridSpec,
-    irfft_raw as _irfft_raw,
-    rfft_retained_raw as _rfft_retained_raw,
-)
+from .grid import GridSpec, _rfft_box_by_slab, _slabs, irfft_raw as _irfft_raw
 from .spectral import forward_transform
 
 __all__ = [
@@ -203,20 +199,10 @@ def strain_project(M: SymTensorField) -> SymTensorField:
 
 # -- pointwise real-space passes -------------------------------------------
 #
-# Every pointwise pass runs over x-slabs of about _SLAB_POINTS points, 128 KB
-# per float64 temporary, so its temporaries stay in cache instead of each op
-# streaming full n^3 arrays. Slabs are views (x is the slowest axis), each
-# point's arithmetic is the same whatever the slab size, and every reduction
-# runs once over a full-size result, so no bit depends on the slab size.
-
-_SLAB_POINTS = 16384
-
-
-def _slabs(n: int) -> list[slice]:
-    """Slices cutting axis x of an n^3 grid into slabs of about _SLAB_POINTS
-    points (at least one plane each)."""
-    k = max(1, _SLAB_POINTS // (n * n))
-    return [slice(i, min(i + k, n)) for i in range(0, n, k)]
+# Every pointwise pass runs over the x-slabs of grid._slabs (see the comment
+# there): the products that are transformed forward share the forward box
+# transform's slab loop (grid._rfft_box_by_slab), and the others fill a
+# full-size result slab by slab (_by_slab).
 
 
 def _by_slab(kernel: Callable[..., None], nout: int, *arrays: np.ndarray) -> np.ndarray:
@@ -250,7 +236,7 @@ def _s_squared_slab(out: np.ndarray, s: np.ndarray) -> None:
 
 def _s_squared_box(grid: GridSpec, s_re: np.ndarray) -> np.ndarray:
     """Dealiased S^2 on the retained box, from real samples of S."""
-    return _rfft_retained_raw(grid, _by_slab(_s_squared_slab, 6, s_re))
+    return _rfft_box_by_slab(grid, _s_squared_slab, 6, s_re)
 
 
 def _sym_outer_slab(out: np.ndarray, v: np.ndarray) -> None:
@@ -260,7 +246,7 @@ def _sym_outer_slab(out: np.ndarray, v: np.ndarray) -> None:
 
 def _sym_outer_box(grid: GridSpec, v_re: np.ndarray) -> np.ndarray:
     """Dealiased v_i v_j on the retained box, from real samples of v."""
-    return _rfft_retained_raw(grid, _by_slab(_sym_outer_slab, 6, v_re))
+    return _rfft_box_by_slab(grid, _sym_outer_slab, 6, v_re)
 
 
 def _cross_slab(out: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
@@ -279,8 +265,16 @@ def _lamb_box(grid: GridSpec, u_re: np.ndarray, w_re: np.ndarray) -> np.ndarray:
     multiples of I, so sym grad of this is that sum's P_st part, at 3 products
     and one 3-component forward transform. Exact to roundoff while
     3 cutoff <= n + 2 (the 2/3 rule); beyond, both forms alias differently."""
-    lamb = _by_slab(_cross_slab, 3, w_re, u_re)
-    return _leray_raw(grid.retained, _rfft_retained_raw(grid, lamb))
+    lamb = _rfft_box_by_slab(grid, _cross_slab, 3, w_re, u_re)
+    return _leray_raw(grid.retained, lamb)
+
+
+def _advect_slab(out: np.ndarray, u: np.ndarray, *grads: np.ndarray) -> None:
+    """sum_a u_a d_a S, from u and the three derivatives d_a S."""
+    tmp = np.empty_like(out)
+    np.multiply(u[0], grads[0], out=out)
+    for ua, da in zip(u[1:], grads[1:]):
+        out += np.multiply(ua, da, out=tmp)
 
 
 def s_squared(S: SymTensorField) -> SymTensorField:
@@ -298,9 +292,10 @@ def omega_outer(omega: VectorField) -> SymTensorField:
 def advection_term(u: VectorField, S: SymTensorField) -> SymTensorField:
     """(u . grad) S: spectral derivatives of S, products in real space, dealiased."""
     g = S.grid
-    sh, u_re = _as_spectral(S).data, u.real_samples()
-    acc = sum(u_re[a] * _irfft_raw(g, 1j * g.kd[a] * sh) for a in range(3))
-    return SymTensorField(g, g.retained.unpack(_rfft_retained_raw(g, acc)))
+    sh = _as_spectral(S).data
+    grads = [_irfft_raw(g, 1j * g.kd[a] * sh) for a in range(3)]
+    acc = _rfft_box_by_slab(g, _advect_slab, 6, u.real_samples(), *grads)
+    return SymTensorField(g, g.retained.unpack(acc))
 
 
 # -- eigenvalues ------------------------------------------------------------

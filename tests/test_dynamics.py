@@ -507,11 +507,30 @@ class TestSharedDerivedFields:
         assert report.t_outcome == end.t
         assert (report.f0, report.g0, report.r0) == (f0, f0 / E0**1.5, f0 / (2.0 * E0))
 
+    @pytest.mark.parametrize("via", ["cfl_dt", "sample"])
+    def test_velocity_stage_one_takes_kept_samples(self, fft_counts, via):
+        # the real u that cfl_dt or the sample made is held until the first
+        # stage takes it (3 fewer inverse transforms), then dropped
+        st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation="velocity_ns")
+        alone = step(st, 1e-3)
+        b = diag._Sample(st.S, keep_real_u=True)
+        if via == "cfl_dt":
+            cfl_dt(st, derived=b)
+        else:
+            diag.sample_functionals(st.S, 1.0, False, derived=b)
+        assert b._u_re is not None
+        fft_counts.update(fwd=0, inv=0)
+        shared = step(st, 1e-3, derived=b)
+        assert fft_counts == {"fwd": 24, "inv": 9}
+        assert b._u_re is None
+        assert shared.S.data.tobytes() == alone.S.data.tobytes()
+
     # a run of 5 steps with a record after each (6 samples), counted in
-    # component transforms and strain-space residual checks
+    # component transforms and strain-space residual checks; a velocity_ns
+    # step's first stage takes the real u that the sample or cfl_dt made
     @pytest.mark.parametrize(
         "equation, fwd, inv",
-        [("full_strain", 99, 162), ("model", 144, 162), ("velocity_ns", 174, 132)],
+        [("full_strain", 99, 162), ("model", 144, 162), ("velocity_ns", 174, 117)],
     )
     def test_run_counts(self, fft_counts, monkeypatch, equation, fwd, inv):
         from strainamp import operators
@@ -583,8 +602,8 @@ class TestRunLifetime:
             refs.append(weakref.ref(st.S))
             return st
 
-        def bundle(S):
-            b = orig_sample(S)
+        def bundle(*a, **k):
+            b = orig_sample(*a, **k)
             refs.append(weakref.ref(b))
             return b
 
@@ -742,6 +761,23 @@ class TestCheckpoint:
         code = blob[38]
         assert (n, L, t, nu, code) == (16, 4.0, 0.25, 1.0, 1)
         assert len(blob) == 39 + 6 * 16**3 * 8
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_payload_layout(self, tmp_path, n):
+        # per component x fastest, each axis from -L/2 up: the bytes of the
+        # rolled, Fortran-ordered components written one by one
+        g = GridSpec(n, 16.0)
+        st = random_state(g, 21)
+        path = str(tmp_path / "state.ckpt")
+        write_checkpoint(path, st)
+        s_re = st.S.real_samples()
+        mono = np.roll(s_re, (n // 2,) * 3, axis=(1, 2, 3))
+        want = b"".join(mono[c].astype("<f8").ravel(order="F").tobytes() for c in range(6))
+        blob = open(path, "rb").read()
+        assert blob[39:] == want
+        h = n // 2  # sample index of x = -L/2, in FFT storage order
+        first, last = np.frombuffer(blob[39:], "<f8")[[0, n**3 - 1]]
+        assert (first, last) == (s_re[0, h, h, h], s_re[0, h - 1, h - 1, h - 1])
 
     @pytest.mark.parametrize(
         "offset, named",
