@@ -15,7 +15,8 @@ from .operators import (
     _as_spectral,
     _by_slab,
     _curl_raw,
-    _eig3_raw,
+    _det_raw,
+    _eig3_middle,
     _lamb_box,
     _s_squared_box,
     _strain_project_raw,
@@ -127,15 +128,6 @@ def energy(S: SymTensorField) -> float:
 # -- determinant functionals -------------------------------------------------
 
 
-def _det_raw(s: np.ndarray) -> np.ndarray:
-    xx, xy, xz, yy, yz, zz = s
-    return (
-        xx * (yy * zz - yz * yz)
-        - xy * (xy * zz - yz * xz)
-        + xz * (xy * yz - yy * xz)
-    )
-
-
 def _tr3_raw(s: np.ndarray) -> np.ndarray:
     xx, xy, xz, yy, yz, zz = s
     return (
@@ -188,19 +180,21 @@ _FINITE_Q = tuple(q for q in Q_VALUES if math.isfinite(q))
 
 
 def _eigen_slab(out: np.ndarray, s: np.ndarray) -> None:
-    """lambda2+, det S, tr S^3 and lambda2+ ** q for each finite q in Q_VALUES."""
-    _, l2, _, det = _eig3_raw(s)
-    l2p = np.maximum(0.0, l2, out=out[0])
-    out[1], out[2] = det, _tr3_raw(s)
-    for o, q in zip(out[3:], _FINITE_Q):
-        o[...] = l2p**q
+    """lambda2+, det S, tr S^3 and lambda2+ ** q for each finite q in Q_VALUES.
+
+    lambda2 is the closed form's middle root alone (operators._eig3_middle),
+    so it agrees with lambda_fields' to roundoff, not bit for bit."""
+    l2p = np.maximum(0.0, _eig3_middle(s), out=out[0])
+    out[1], out[2] = _det_raw(s), _tr3_raw(s)
+    for o, qe in zip(out[3:], _FINITE_Q):
+        np.power(l2p, qe, out=o)
 
 
-def _eigen_pass(S: SymTensorField) -> tuple[dict[float, float], float, float]:
-    """lambda_lq_norms(S), det_integral(S) and trace_cubed_integral(S) from
-    one eigenvalue pass."""
-    l2p, det, tr3, *powers = _by_slab(_eigen_slab, 3 + len(_FINITE_Q), S.real_samples())
-    vol, l2p_q = S.grid.cell_volume, dict(zip(_FINITE_Q, powers))
+def _eigen_pass(s_re: np.ndarray, vol: float) -> tuple[dict[float, float], float, float]:
+    """lambda_lq_norms, det_integral and trace_cubed_integral of the strain
+    with real samples s_re and cell volume vol, from one eigenvalue pass."""
+    l2p, det, tr3, *powers = _by_slab(_eigen_slab, 3 + len(_FINITE_Q), s_re)
+    l2p_q = dict(zip(_FINITE_Q, powers))
     norms: dict[float, float] = {}
     for q in Q_VALUES:
         if math.isinf(q):
@@ -212,7 +206,7 @@ def _eigen_pass(S: SymTensorField) -> tuple[dict[float, float], float, float]:
 
 def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
     """L^q norms of lambda2+ = max(0, lambda2) for q in Q_VALUES."""
-    return _eigen_pass(S)[0]
+    return _eigen_pass(S.real_samples(), S.grid.cell_volume)[0]
 
 
 # -- identity residuals ---------------------------------------------------------
@@ -223,7 +217,8 @@ class _Sample:
     dynamics.step and sample_functionals. On `lay`, the retained box when S
     is dealiased and the full layout otherwise (see _layout): S (`sh`), then
     on first use u, |u|_inf, |S|_inf, the norms of S (hs), and on the box the
-    Lamb term P_df(omega x u) and S^2. Real samples of omega are dropped by
+    Lamb term P_df(omega x u) and S^2. S's real samples are memoized on S
+    (s_real). Real samples of omega are dropped by
     the call that makes them, and so are those of u unless `keep_real_u`:
     then they are held until take_real_u (a velocity_ns step's first stage)
     takes them."""
@@ -274,14 +269,19 @@ class _Sample:
     def u_inf(self) -> float:
         return _max_norm(self._real_u(self.velocity()))
 
+    def s_real(self) -> np.ndarray:
+        """S.real_samples(), from sh when it is on the box, so that S is
+        scanned for modes outside the box only once, by _layout."""
+        return self.S.real_samples(self.sh if self.lay is not self.g else None)
+
     @cached_property
     def s_inf(self) -> float:
-        s_sq = _by_slab(_frobenius_sq_slab, 1, self.S.real_samples())
+        s_sq = _by_slab(_frobenius_sq_slab, 1, self.s_real())
         return float(np.sqrt(np.max(s_sq)))
 
     @cached_property
     def s2(self) -> np.ndarray:
-        return _s_squared_box(self.g, self.S.real_samples())
+        return _s_squared_box(self.g, self.s_real())
 
     def on_lay(self, box: np.ndarray) -> np.ndarray:
         """A retained-box array moved onto lay."""
@@ -363,7 +363,7 @@ def orthogonality_residual(S: SymTensorField) -> float:
 
 
 def _vortex_det(b: _Sample, wdat: np.ndarray, det: float) -> float:
-    s_re, vol, slabs = b.S.real_samples(), b.g.cell_volume, _slabs(b.g.n)
+    s_re, vol, slabs = b.s_real(), b.g.cell_volume, _slabs(b.g.n)
     term = np.empty_like(wdat[0])  # one integrand at a time, filled by slab
     pair = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):
@@ -550,7 +550,7 @@ def sample_functionals(
     the Lamb term and S^2."""
     b = _Sample(S) if derived is None else derived
     # the eigenvalue pass first, while no real u or omega is held
-    lam2_norms, det, tr3 = _eigen_pass(S)
+    lam2_norms, det, tr3 = _eigen_pass(b.s_real(), b.g.cell_volume)
     w_re = b.real_velocity()[1]
     e = b.hs(0.0)
     h1 = b.hs(1.0)

@@ -327,10 +327,10 @@ def run(
     With a sink, emits a DiagnosticsRecord at t=0, every `output_every`
     steps, and at the final state; without one, only the t = 0 sample (which
     the report needs) is taken. Each state's diagnostics._Sample serves its
-    sample, cfl_dt and step. Blowup is declared on dt underflow, non-finite
-    values, or E > 1e6 E0; resolution loss when the spectral tail (top 1/8
-    of retained shells) exceeds 1% of the enstrophy. A checkpoint is
-    rewritten every `checkpoint_every` steps when a path is given.
+    sample, cfl_dt, step and checkpoint. Blowup is declared on dt underflow,
+    non-finite values, or E > 1e6 E0; resolution loss when the spectral tail
+    (top 1/8 of retained shells) exceeds 1% of the enstrophy. A checkpoint
+    is rewritten every `checkpoint_every` steps when a path is given.
     """
     p = state0.params
     state = state0
@@ -381,7 +381,7 @@ def run(
             emit(state, b)
             emitted = steps
         if checkpoint_every > 0 and checkpoint_path and steps % checkpoint_every == 0:
-            write_checkpoint(checkpoint_path, state)
+            write_checkpoint(checkpoint_path, state, derived=b)
     if sink is not None and emitted != steps:
         emit(state, b)
 
@@ -402,17 +402,22 @@ def run(
 # -- checkpointing -----------------------------------------------------------------
 
 
-def write_checkpoint(path: str, state: StrainState) -> None:
+def write_checkpoint(
+    path: str, state: StrainState, *, derived: diag._Sample | None = None
+) -> None:
     """Binary checkpoint: magic, u64 n, f64 L, f64 t, f64 nu, u8 equation code,
     then 6 n^3 float64 real-space tensor components (x fastest, samples in
     increasing coordinate order from -L/2), little-endian.
 
     The file is written beside `path` and renamed onto it, so a write that
-    fails midway leaves the previous checkpoint intact."""
+    fails midway leaves the previous checkpoint intact. `derived` is the
+    state's diagnostics._Sample, as for step; the bytes are the same without
+    it."""
     g = state.S.grid
+    s_re = state.S.real_samples() if derived is None else derived.s_real()
     # (component, z, y, x) in C order, x fastest: one copy (astype copies
     # only on a big-endian host)
-    payload = g.to_monotone(state.S.real_samples().transpose(0, 3, 2, 1))
+    payload = g.to_monotone(s_re.transpose(0, 3, 2, 1))
     payload = payload.astype("<f8", copy=False)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

@@ -7,7 +7,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grid import GridSpec, irfft_raw
+from .grid import GridSpec, irfft_raw, irfft_retained_raw
 
 __all__ = [
     "ScalarField",
@@ -61,14 +61,19 @@ class _Field:
             raise ValueError("scalar fields have no components")
         return ScalarField(self.grid, self.data[i])
 
-    def real_samples(self) -> np.ndarray:
+    def real_samples(self, box: np.ndarray | None = None) -> np.ndarray:
         """Real-space sample array; memoized for spectral fields (fields are
-        immutable, so the cache is sound)."""
+        immutable, so the cache is sound). `box` is data already packed on
+        the retained box, by a caller that found it zero outside: the same
+        bits, without irfft_raw scanning data for modes outside the box."""
         if not self.spectral:
             return self.data
         cached = self.__dict__.get("_real_cache")
         if cached is None:
-            cached = irfft_raw(self.grid, self.data)
+            if box is None:
+                cached = irfft_raw(self.grid, self.data)
+            else:
+                cached = irfft_retained_raw(self.grid, box)
             self.__dict__["_real_cache"] = cached
         return cached
 

@@ -99,15 +99,14 @@ def _leray_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
     return np.stack([vh[0] - kx * kv, vh[1] - ky * kv, vh[2] - kz * kv])
 
 
-def _strain_project_raw(grid: GridSpec, mh: np.ndarray) -> np.ndarray:
-    """P_st M = sym_grad(-2 (-lap)^{-1} P_df div M), all with kappa wavenumbers."""
-    wh = -2.0 * grid.inv_kd2 * _div_sym_raw(grid, mh)
-    return _sym_grad_raw(grid, _leray_raw(grid, wh))
-
-
 def _velocity_raw(grid: GridSpec, sh: np.ndarray) -> np.ndarray:
     """u = -2 div (-lap)^{-1} S for a spectral strain tensor."""
     return -2.0 * grid.inv_kd2 * _div_sym_raw(grid, sh)
+
+
+def _strain_project_raw(grid: GridSpec, mh: np.ndarray) -> np.ndarray:
+    """P_st M = sym_grad(-2 (-lap)^{-1} P_df div M), all with kappa wavenumbers."""
+    return _sym_grad_raw(grid, _leray_raw(grid, _velocity_raw(grid, mh)))
 
 
 def _curl_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
@@ -122,22 +121,24 @@ def _curl_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
     )
 
 
-def _strain_residual_raw(grid: GridSpec, sh: np.ndarray) -> float:
-    """||P_st S - S|| / ||S|| of a spectral strain tensor (0 for S = 0)."""
+def _strain_residual_raw(grid: GridSpec, sh: np.ndarray, uh: np.ndarray) -> float:
+    """||P_st S - S|| / ||S|| of a spectral strain tensor (0 for S = 0), from
+    S and its velocity uh = _velocity_raw(grid, sh): P_st S = sym grad P_df u."""
     denom = _mode_sum(grid, sh, sh)
     if denom == 0.0:
         return 0.0
-    d = _strain_project_raw(grid, sh) - sh
+    d = _sym_grad_raw(grid, _leray_raw(grid, uh)) - sh
     return float(np.sqrt(_mode_sum(grid, d, d) / denom))
 
 
 def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray):
     """(_velocity_raw, strain-space residual); ConstraintError above 1e-6 or
-    when the residual is NaN."""
-    res = _strain_residual_raw(grid, sh)
+    when the residual is NaN. u is formed once and also serves P_st S."""
+    uh = _velocity_raw(grid, sh)
+    res = _strain_residual_raw(grid, sh, uh)
     if not res <= 1e-6:
         raise ConstraintError(f"strain-space residual {res:.3e} exceeds 1.0e-06")
-    return _velocity_raw(grid, sh), res
+    return uh, res
 
 
 # -- interconversion -------------------------------------------------------
@@ -159,7 +160,7 @@ def divergence_residual(u: VectorField) -> float:
 def strain_space_residual(S: SymTensorField) -> float:
     """||P_st S - S|| / ||S|| (0 for the zero field)."""
     sf = _as_spectral(S)
-    return _strain_residual_raw(sf.grid, sf.data)
+    return _strain_residual_raw(sf.grid, sf.data, _velocity_raw(sf.grid, sf.data))
 
 
 def strain_of(u: VectorField) -> SymTensorField:
@@ -301,38 +302,54 @@ def advection_term(u: VectorField, S: SymTensorField) -> SymTensorField:
 # -- eigenvalues ------------------------------------------------------------
 
 
-def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted eigenvalues l1 <= l2 <= l3 of symmetric 3x3 matrices given as
-    stacked components, and their determinants (the invariant i3, the same
-    expression as diagnostics._det_raw).
+def _det_raw(s) -> np.ndarray:
+    """Pointwise determinant of symmetric 3x3 matrices given as stacked
+    components."""
+    xx, xy, xz, yy, yz, zz = s
+    return (
+        xx * (yy * zz - yz * yz)
+        - xy * (xy * zz - yz * xz)
+        + xz * (xy * yz - yy * xz)
+    )
 
-    Closed-form trigonometric solution with one Newton polish pass applied
-    where the characteristic-polynomial residual exceeds 1e-12 * ||m||^3.
-    """
-    xx, xy, xz, yy, yz, zz = (np.asarray(c, dtype=np.float64) for c in s)
-    # products that several expressions share are formed once (same bits)
-    yz2, yzxz, xyyz = yz * yz, yz * xz, xy * yz
-    i1 = xx + yy + zz
-    q = i1 / 3.0
-    two_p1 = 2.0 * (xy * xy + xz * xz + yz2)
+
+def _eig3_trig(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, 2p, phi) of the trigonometric closed form for the eigenvalues of
+    symmetric 3x3 matrices given as stacked components: with q the mean
+    eigenvalue, p the deviation scale and phi in [0, pi/3], the roots are
+    q + 2p cos(phi) (largest), q + 2p cos(phi + 2 pi/3) (smallest) and
+    q + 2p cos(phi + 4 pi/3) (middle). _eig3_raw takes all three and
+    _eig3_middle, for the diagnostics sample, the middle one. phi =
+    arccos(r)/3 is sqrt(eps)-conditioned where r is near +-1, that is at a
+    repeated root."""
+    xx, xy, xz, yy, yz, zz = s
+    q = (xx + yy + zz) / 3.0
     a, b, c = xx - q, yy - q, zz - q
-    p2 = a * a + b * b + c * c + two_p1
-    p = np.sqrt(p2 / 6.0)
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
     psafe = np.where(p > 0, p, 1.0)
-    det_b = (
-        a * (b * c - yz2) - xy * (xy * c - yzxz) + xz * (xyyz - b * xz)
-    ) / psafe**3
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    two_p = 2.0 * p
+    r = np.clip(_det_raw((a, xy, xz, b, yz, c)) / psafe**3 / 2.0, -1.0, 1.0)
+    return q, 2.0 * p, np.arccos(r) / 3.0
+
+
+def _eig3_raw(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted eigenvalues l1 <= l2 <= l3 of symmetric 3x3 matrices given as
+    stacked components.
+
+    The three roots of the closed form (_eig3_trig), each given one Newton
+    polish pass where the characteristic-polynomial residual exceeds
+    1e-12 * ||m||^3, then put in order.
+    """
+    q, two_p, phi = _eig3_trig(s)
     l3 = q + two_p * np.cos(phi)
     l1 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
     l2 = 3.0 * q - l1 - l3
 
     # invariants of the characteristic polynomial l^3 - i1 l^2 + i2 l - i3
-    tr2 = xx * xx + yy * yy + zz * zz + two_p1
+    xx, xy, xz, yy, yz, zz = s
+    i1 = xx + yy + zz
+    tr2 = xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz)
     i2 = 0.5 * (i1 * i1 - tr2)
-    i3 = xx * (yy * zz - yz2) - xy * (xy * zz - yzxz) + xz * (xyyz - yy * xz)
+    i3 = _det_raw(s)
     tol = 1e-12 * np.maximum(tr2**1.5, np.finfo(np.float64).tiny)
 
     def polish(lam: np.ndarray) -> np.ndarray:
@@ -348,7 +365,20 @@ def _eig3_raw(s: np.ndarray) -> tuple[np.ndarray, ...]:
     l1, l2, l3 = polish(l1), polish(l2), polish(l3)
     lo, hi = np.minimum(l1, l2), np.maximum(l1, l2)
     l2 = np.maximum(lo, np.minimum(hi, l3))
-    return np.minimum(lo, l3), l2, np.maximum(hi, l3), i3
+    return np.minimum(lo, l3), l2, np.maximum(hi, l3)
+
+
+def _eig3_middle(s) -> np.ndarray:
+    """The middle eigenvalue of symmetric 3x3 matrices given as stacked
+    components: q + 2p cos(phi + 4 pi/3) of _eig3_trig alone, with no other
+    root, no polish and no ordering. It agrees with _eig3_raw's l2 to
+    roundoff, not bit for bit.
+
+    The cosine is taken as sin(phi - pi/6), the same value at an angle in
+    [-pi/6, pi/6]: there the sine costs less than the cosine at an angle
+    near 3 pi/2, and the angle carries a smaller rounding error."""
+    q, two_p, phi = _eig3_trig(s)
+    return q + two_p * np.sin(phi - np.pi / 6.0)
 
 
 def eig_symtensor(m: np.ndarray) -> EigenTriple:
@@ -359,12 +389,12 @@ def eig_symtensor(m: np.ndarray) -> EigenTriple:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     comps = [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
-    l1, l2, l3, _ = _eig3_raw([np.asarray(v) for v in comps])
+    l1, l2, l3 = _eig3_raw([np.asarray(v) for v in comps])
     return EigenTriple(float(l1), float(l2), float(l3))
 
 
 def _lambda_slab(out: np.ndarray, s: np.ndarray) -> None:
-    l1, l2, _, _ = _eig3_raw(s)
+    l1, l2, _ = _eig3_raw(s)
     out[0], out[1] = l1, l2
     np.maximum(0.0, l2, out=out[2])
 

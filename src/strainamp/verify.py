@@ -47,7 +47,7 @@ def _check_detid(rng: np.random.Generator, count: int) -> float:
     comps = rng.standard_normal((6, count))
     comps[5] = -comps[0] - comps[3]  # trace-free
     tr3 = diag._tr3_raw(comps)
-    det = diag._det_raw(comps)
+    det = ops._det_raw(comps)
     # relative to ||M||^3, the magnitude of the terms before cancellation
     norm3 = (
         comps[0] ** 2 + comps[3] ** 2 + comps[5] ** 2

@@ -13,6 +13,7 @@ import scipy.fft
 
 from strainamp.grid import (
     GridSpec,
+    _slabs,
     irfft_raw,
     irfft_retained_raw,
     rfft_raw,
@@ -120,3 +121,15 @@ def test_full_layout_forward_unchanged():
     g = GridSpec(18, 2.0 * np.pi)
     a, _ = samples(g, 3, seed=5)
     assert_same_bytes(rfft_raw(g, a), full_rfft(a))
+
+
+def test_fft_counts_components_not_slabs(fft_counts):
+    # at n = 64 the forward runs its z pass once per x-slab; the fixture
+    # counts each of the 6 components once all the same
+    g = GridSpec(64, 2.0 * np.pi)
+    assert len(_slabs(g.n)) > 1
+    a, _ = samples(g, 6, seed=64)
+    bh = rfft_retained_raw(g, a)
+    assert fft_counts == {"fwd": 6, "inv": 0}
+    irfft_retained_raw(g, bh)
+    assert fft_counts == {"fwd": 6, "inv": 6}

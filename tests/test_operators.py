@@ -423,7 +423,7 @@ class TestEigenvalues:
             ]
         )
         for mats, tol in ((exact, 1e-12), (repeated, 1e-7)):
-            l1, l2, l3, _ = _eig3_raw([mats[:, i, j] for i, j in SYM_PAIRS])
+            l1, l2, l3 = _eig3_raw([mats[:, i, j] for i, j in SYM_PAIRS])
             assert np.all(l1 <= l2) and np.all(l2 <= l3)
             err = np.abs(np.stack([l1, l2, l3], axis=1) - np.linalg.eigvalsh(mats))
             norm = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
@@ -484,3 +484,45 @@ class TestResidualHelpers:
         g = GridSpec(16, 16.0)
         assert strain_space_residual(random_strain(g, 18)) < 1e-12
         assert strain_space_residual(hessian_probe(g, "hessian")) > 0.9
+
+    @pytest.mark.parametrize("box", [False, True], ids=["full", "box"])
+    def test_velocity_checked_forms_u_once(self, box):
+        # u serves both the return value and P_st S inside the residual: the
+        # same bytes as the residual through P_st followed by a second u
+        from strainamp.fields import _mode_sum
+        from strainamp.operators import (
+            _div_sym_raw,
+            _leray_raw,
+            _sym_grad_raw,
+            _velocity_checked_raw,
+            _velocity_raw,
+        )
+
+        g = GridSpec(16, 16.0)
+        # a dealiased strain plus a small Hessian part, so P_st S - S != 0
+        S, h = random_strain(g, 19), hessian_probe(g, "hessian")
+        sh = (S.data + 1e-8 * h.data) * g.dealias_mask
+        lay = g.retained if box else g
+        sh = g.retained.pack(sh) if box else sh
+        wh = -2.0 * lay.inv_kd2 * _div_sym_raw(lay, sh)
+        d = _sym_grad_raw(lay, _leray_raw(lay, wh)) - sh
+        res = float(np.sqrt(_mode_sum(lay, d, d) / _mode_sum(lay, sh, sh)))
+        uh, got = _velocity_checked_raw(lay, sh)
+        assert uh.tobytes() == _velocity_raw(lay, sh).tobytes()
+        assert got == res
+
+    @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
+    def test_velocity_checked_tolerance(self, scale, raises):
+        # a Hessian part of relative size scale * 1e-6 leaves a residual of
+        # about that size, against the 1e-6 tolerance
+        from strainamp.operators import _velocity_checked_raw
+
+        g = GridSpec(16, 16.0)
+        S, h = random_strain(g, 20), hessian_probe(g, "hessian")
+        eps = scale * 1e-6 * np.sqrt(l2_norm_sq(S) / l2_norm_sq(h))
+        sh = S.data + eps * h.data
+        if raises:
+            with pytest.raises(ConstraintError, match="exceeds 1.0e-06"):
+                _velocity_checked_raw(g, sh)
+        else:
+            assert _velocity_checked_raw(g, sh)[1] < 1e-6

@@ -386,3 +386,45 @@ class TestOutsideBox:
             make_state(back.S, back.t, p).S.data, make_state(undealiased, back.t, p).S.data
         )
         step(back, 1e-3)
+
+
+# -- one scan for modes outside the box per state -----------------------------------
+
+
+class TestOneHoldsScan:
+    @staticmethod
+    def count_holds(monkeypatch):
+        from strainamp.grid import RetainedModes
+
+        calls = []
+        orig = RetainedModes.holds
+        monkeypatch.setattr(
+            RetainedModes, "holds", lambda self, a: calls.append(1) or orig(self, a)
+        )
+        return calls
+
+    def test_per_sample(self, monkeypatch, tmp_path):
+        # S's real samples come from the box array the bundle packed
+        g = GridSpec(16, 16.0)
+        p = SimParams(1.0, "full_strain")
+        st = make_state(strain_of(random_solenoidal(g, 6)), 0.0, p)
+        calls = self.count_holds(monkeypatch)
+        b = diag._Sample(st.S)
+        b.s_inf, b.s2
+        diag.sample_functionals(st.S, 1.0, True, derived=b)
+        write_checkpoint(str(tmp_path / "c.bin"), st, derived=b)
+        st.S.real_samples()
+        assert len(calls) == 1
+        assert np.array_equal(st.S.real_samples(), irfft_raw(g, st.S.data))
+
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_per_state_of_a_run(self, monkeypatch, tmp_path, equation):
+        from strainamp.dynamics import run
+
+        g = GridSpec(16, 16.0)
+        p = SimParams(1.0, equation, t_end=4e-3, dt_max=1e-3, output_every=2)
+        st = make_state(strain_of(random_solenoidal(g, 6, slope=-8.0)), 0.0, p)
+        calls, records = self.count_holds(monkeypatch), []
+        run(st, records.append, checkpoint_every=1, checkpoint_path=str(tmp_path / "c.bin"))
+        assert records[-1].t == pytest.approx(4e-3)
+        assert len(calls) == 5  # the initial state and one per step
