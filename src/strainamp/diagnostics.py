@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, _mode_sum
-from .grid import _slabs, irfft_raw, irfft_retained_raw
+from .grid import _irfft_full, _slabs, irfft_retained_raw
 from .operators import (
     _as_real,
     _as_spectral,
@@ -214,19 +214,22 @@ def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
 
 class _Sample:
     """Fields derived from one strain state, built once for dynamics.cfl_dt,
-    dynamics.step and sample_functionals. On `lay`, the retained box when S
-    is dealiased and the full layout otherwise (see _layout): S (`sh`), then
-    on first use u, |u|_inf, |S|_inf, the norms of S (hs), and on the box the
-    Lamb term P_df(omega x u) and S^2. S's real samples are memoized on S
-    (s_real). Real samples of omega are dropped by
+    dynamics.step, dynamics.write_checkpoint and sample_functionals. On
+    `lay`, the retained box when S is dealiased and the full layout
+    otherwise (see _layout, the one scan of S for modes outside the box): S
+    (`sh`), then on first use S's real samples (`s_re`), u, |u|_inf,
+    |S|_inf, the norms of S (hs), and on the box the Lamb term
+    P_df(omega x u) and S^2. The bundle holds no reference to S itself, so
+    what it derives is freed with it. Real samples of omega are dropped by
     the call that makes them, and so are those of u unless `keep_real_u`:
     then they are held until take_real_u (a velocity_ns step's first stage)
     takes them."""
 
     def __init__(self, S: SymTensorField, keep_real_u: bool = False) -> None:
-        self.S = S
         self.g = S.grid
         self.lay, self.sh = _layout(S)
+        if not S.spectral:  # its samples are its data, as S.real_samples() gives
+            self.s_re = S.data
         self.uh = self.res_constraint = None  # set by velocity()
         self._hs: dict[float, float] = {}
         self._keep_u = keep_real_u
@@ -269,28 +272,30 @@ class _Sample:
     def u_inf(self) -> float:
         return _max_norm(self._real_u(self.velocity()))
 
-    def s_real(self) -> np.ndarray:
-        """S.real_samples(), from sh when it is on the box, so that S is
-        scanned for modes outside the box only once, by _layout."""
-        return self.S.real_samples(self.sh if self.lay is not self.g else None)
+    @cached_property
+    def s_re(self) -> np.ndarray:
+        """Real samples of S (the bits of S.real_samples())."""
+        return self.real(self.sh)
 
     @cached_property
     def s_inf(self) -> float:
-        s_sq = _by_slab(_frobenius_sq_slab, 1, self.s_real())
+        s_sq = _by_slab(_frobenius_sq_slab, 1, self.s_re)
         return float(np.sqrt(np.max(s_sq)))
 
     @cached_property
     def s2(self) -> np.ndarray:
-        return _s_squared_box(self.g, self.s_real())
+        return _s_squared_box(self.g, self.s_re)
 
     def on_lay(self, box: np.ndarray) -> np.ndarray:
         """A retained-box array moved onto lay."""
         return box if self.lay is not self.g else self.g.retained.unpack(box)
 
     def real(self, a: np.ndarray) -> np.ndarray:
-        """Real samples of coefficients held on lay."""
+        """Real samples of coefficients held on lay. On the full layout that
+        is the unpruned inverse, with no new scan for modes outside the box:
+        the pruned one gives the same bits wherever it applies."""
         if self.lay is self.g:
-            return irfft_raw(self.g, a)
+            return _irfft_full(self.g, a)
         return irfft_retained_raw(self.g, a)
 
     def hs(self, alpha: float) -> float:
@@ -363,7 +368,7 @@ def orthogonality_residual(S: SymTensorField) -> float:
 
 
 def _vortex_det(b: _Sample, wdat: np.ndarray, det: float) -> float:
-    s_re, vol, slabs = b.s_real(), b.g.cell_volume, _slabs(b.g.n)
+    s_re, vol, slabs = b.s_re, b.g.cell_volume, _slabs(b.g.n)
     term = np.empty_like(wdat[0])  # one integrand at a time, filled by slab
     pair = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):
@@ -382,7 +387,8 @@ def _vortex_det(b: _Sample, wdat: np.ndarray, det: float) -> float:
 def vortex_det_residual(S: SymTensorField) -> float:
     """|<S, omega x omega> + 4 int det(S)| scaled by ||S|| ||omega||^2_{L^4}."""
     b = _Sample(S)
-    return _vortex_det(b, b.real_velocity()[1], det_integral(S))
+    det = det_integral(SymTensorField(b.g, b.s_re))
+    return _vortex_det(b, b.real_velocity()[1], det)
 
 
 def perturbative_ratio(S: SymTensorField, nu: float) -> float:
@@ -550,7 +556,7 @@ def sample_functionals(
     the Lamb term and S^2."""
     b = _Sample(S) if derived is None else derived
     # the eigenvalue pass first, while no real u or omega is held
-    lam2_norms, det, tr3 = _eigen_pass(b.s_real(), b.g.cell_volume)
+    lam2_norms, det, tr3 = _eigen_pass(b.s_re, b.g.cell_volume)
     w_re = b.real_velocity()[1]
     e = b.hs(0.0)
     h1 = b.hs(1.0)

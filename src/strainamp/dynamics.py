@@ -414,7 +414,7 @@ def write_checkpoint(
     state's diagnostics._Sample, as for step; the bytes are the same without
     it."""
     g = state.S.grid
-    s_re = state.S.real_samples() if derived is None else derived.s_real()
+    s_re = state.S.real_samples() if derived is None else derived.s_re
     # (component, z, y, x) in C order, x fastest: one copy (astype copies
     # only on a big-endian host)
     payload = g.to_monotone(s_re.transpose(0, 3, 2, 1))

@@ -7,7 +7,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grid import GridSpec, irfft_raw, irfft_retained_raw
+from .grid import GridSpec, irfft_raw
 
 __all__ = [
     "ScalarField",
@@ -32,6 +32,8 @@ class _Field:
     Real-space data has trailing shape (n, n, n) with x varying on the first
     axis; spectral data has trailing shape (n, n, n//2 + 1) in the
     real-to-complex layout (Hermitian symmetry implicit in the halved axis).
+    A field holds its grid and data and nothing derived from them, so
+    holding a state keeps only its coefficients alive.
     """
 
     grid: GridSpec
@@ -61,21 +63,12 @@ class _Field:
             raise ValueError("scalar fields have no components")
         return ScalarField(self.grid, self.data[i])
 
-    def real_samples(self, box: np.ndarray | None = None) -> np.ndarray:
-        """Real-space sample array; memoized for spectral fields (fields are
-        immutable, so the cache is sound). `box` is data already packed on
-        the retained box, by a caller that found it zero outside: the same
-        bits, without irfft_raw scanning data for modes outside the box."""
+    def real_samples(self) -> np.ndarray:
+        """Real-space sample array: `data` itself for a real field, else a
+        new inverse transform on each call."""
         if not self.spectral:
             return self.data
-        cached = self.__dict__.get("_real_cache")
-        if cached is None:
-            if box is None:
-                cached = irfft_raw(self.grid, self.data)
-            else:
-                cached = irfft_retained_raw(self.grid, box)
-            self.__dict__["_real_cache"] = cached
-        return cached
+        return irfft_raw(self.grid, self.data)
 
 
 class ScalarField(_Field):

@@ -131,16 +131,21 @@ def rfft_retained_raw(grid: "GridSpec", a: np.ndarray) -> np.ndarray:
     return _rfft_box_by_slab(grid, None, 0, a)
 
 
+def _irfft_full(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
+    """Real samples of full-layout coefficients `ah`, by the unpruned inverse."""
+    n = grid.n
+    return _fft.irfftn(
+        ah, s=(n, n, n), axes=_AXES, workers=fft_workers(), norm="forward"
+    )
+
+
 def irfft_raw(grid: "GridSpec", ah: np.ndarray) -> np.ndarray:
     """Real samples of full-layout coefficients `ah`, through the pruned box
     passes when `ah` is zero outside the retained box (the same bits)."""
     r = grid.retained
     if r.holds(ah):
         return irfft_retained_raw(grid, r.pack(ah))
-    n = grid.n
-    return _fft.irfftn(
-        ah, s=(n, n, n), axes=_AXES, workers=fft_workers(), norm="forward"
-    )
+    return _irfft_full(grid, ah)
 
 
 def irfft_retained_raw(grid: "GridSpec", bh: np.ndarray) -> np.ndarray:

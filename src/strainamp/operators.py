@@ -335,34 +335,13 @@ def _eig3_raw(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted eigenvalues l1 <= l2 <= l3 of symmetric 3x3 matrices given as
     stacked components.
 
-    The three roots of the closed form (_eig3_trig), each given one Newton
-    polish pass where the characteristic-polynomial residual exceeds
-    1e-12 * ||m||^3, then put in order.
+    The three roots of the closed form (_eig3_trig), put in order.
     """
     q, two_p, phi = _eig3_trig(s)
     l3 = q + two_p * np.cos(phi)
     l1 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
     l2 = 3.0 * q - l1 - l3
-
-    # invariants of the characteristic polynomial l^3 - i1 l^2 + i2 l - i3
-    xx, xy, xz, yy, yz, zz = s
-    i1 = xx + yy + zz
-    tr2 = xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz)
-    i2 = 0.5 * (i1 * i1 - tr2)
-    i3 = _det_raw(s)
-    tol = 1e-12 * np.maximum(tr2**1.5, np.finfo(np.float64).tiny)
-
-    def polish(lam: np.ndarray) -> np.ndarray:
-        f = ((lam - i1) * lam + i2) * lam - i3
-        need = np.abs(f) > tol
-        if not np.any(need):
-            return lam
-        fp = (3.0 * lam - 2.0 * i1) * lam + i2
-        ok = need & (np.abs(fp) > 1e-30)
-        return np.where(ok, lam - f / np.where(ok, fp, 1.0), lam)
-
-    # near a repeated root, l2 = 3q - l1 - l3 or the polish can stray out of order
-    l1, l2, l3 = polish(l1), polish(l2), polish(l3)
+    # near a repeated root, l2 = 3q - l1 - l3 can stray out of order
     lo, hi = np.minimum(l1, l2), np.maximum(l1, l2)
     l2 = np.maximum(lo, np.minimum(hi, l3))
     return np.minimum(lo, l3), l2, np.maximum(hi, l3)
@@ -371,7 +350,7 @@ def _eig3_raw(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _eig3_middle(s) -> np.ndarray:
     """The middle eigenvalue of symmetric 3x3 matrices given as stacked
     components: q + 2p cos(phi + 4 pi/3) of _eig3_trig alone, with no other
-    root, no polish and no ordering. It agrees with _eig3_raw's l2 to
+    root and no ordering. It agrees with _eig3_raw's l2 to
     roundoff, not bit for bit.
 
     The cosine is taken as sin(phi - pi/6), the same value at an angle in

@@ -279,8 +279,15 @@ class TestPerturbativeRatio:
 class TestSampleFunctionals:
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_bundle_matches_public_path(self, seed):
-        g = GridSpec(24, 16.0)
-        S = random_strain(g, seed, amplitude=3.0)
+        self.check_public_path(random_strain(GridSpec(24, 16.0), seed, amplitude=3.0))
+
+    def test_bundle_matches_public_path_on_samples(self):
+        # a real-space S: the pointwise values come from its samples themselves
+        S = random_strain(GridSpec(24, 16.0), 5, amplitude=3.0)
+        self.check_public_path(SymTensorField(S.grid, S.real_samples()))
+
+    @staticmethod
+    def check_public_path(S):
         nu = 0.7
         vals = diag.sample_functionals(S, nu, True)
         assert vals["res_orth"] == diag.orthogonality_residual(S)

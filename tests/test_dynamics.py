@@ -621,6 +621,29 @@ class TestRunLifetime:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_held_state_keeps_only_its_coefficients(self, equation):
+        # the caller holds its initial state through run, as the cli does:
+        # once run returns, nothing derived from that state (such as its real
+        # samples) may stay allocated
+        import gc
+        import tracemalloc
+
+        g = GridSpec(16, 16.0)
+        S = strain_of(random_solenoidal(g, 8, slope=-8.0))
+        p = params(equation=equation, t_end=5e-3, dt_max=1e-3, output_every=2)
+        run(make_state(S, 0.0, p), [].append)  # fills the grid's own caches
+        st = make_state(S, 0.0, p)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run(st, [].append)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 0.5 * 6 * g.n**3 * 8
+
 
 class TestOneProjection:
     # make_state is the one projection onto the strain space a run's initial

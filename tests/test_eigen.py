@@ -2,8 +2,10 @@
 
 operators._eig3_trig gives (q, 2p, phi) of the trigonometric closed form.
 operators._eig3_raw (behind eig_symtensor and lambda_fields) takes all three
-roots, polishes and orders them, and must keep the bytes of the code it
-replaced, copied here as _reference_eig3. The diagnostics sample takes only
+roots and orders them, and must keep the bytes of the code it replaced,
+copied here as _reference_eig3: that code also gave each root a Newton step
+where the cubic's residual exceeded 1e-12 ||m||^3, which the closed form's
+O(eps) residual never reaches. The diagnostics sample takes only
 the middle root (operators._eig3_middle), so its lambda2 norms move by
 roundoff while every other record value keeps its bytes.
 """
@@ -146,12 +148,30 @@ class TestMiddleRoot:
         assert _sample_lambda2_plus(m)[0] == max(0.0, a)
 
 
+def _integer_diagonal(k=512, seed=22):
+    """Symmetric integer matrices, half of them diagonal: roots the closed
+    form may hit exactly, so a residual-triggered correction would show."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-4, 5, size=(k, 3, 3)).astype(np.float64)
+    m = m + m.transpose(0, 2, 1)
+    m[: k // 2] *= np.eye(3)
+    return m
+
+
 class TestUnchangedEigenvalues:
     def test_eig3_raw_bytes(self):
         exact, repeated = _matrix_sets()
+        mats = np.concatenate([exact, repeated])
         slab = np.random.default_rng(3).standard_normal((6, 4, 16, 16))
-        for s in (_components(exact), _components(repeated), slab):
-            got, want = _eig3_raw(s), _reference_eig3(s)[:3]
+        sets = [_components(exact), _components(repeated), slab]
+        # scaled towards and past where ||m||^3 underflows or overflows (past
+        # it p^3 does too, and both give the same non-finite bytes)
+        scales = (1e-160, 1e-100, 1e100, 1e150)
+        sets += [_components(scale * mats) for scale in scales]
+        sets += [_components(_integer_diagonal())]
+        for s in sets:
+            with np.errstate(all="ignore"):
+                got, want = _eig3_raw(s), _reference_eig3(s)[:3]
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 

@@ -32,7 +32,7 @@ from strainamp.fields import (
     l2_inner,
 )
 from strainamp.grid import GridSpec, irfft_raw, rfft_raw
-from strainamp.initdata import random_solenoidal
+from strainamp.initdata import colliding_jets, random_solenoidal
 from strainamp.operators import (
     _curl_raw,
     _div_sym_raw,
@@ -413,9 +413,21 @@ class TestOneHoldsScan:
         b.s_inf, b.s2
         diag.sample_functionals(st.S, 1.0, True, derived=b)
         write_checkpoint(str(tmp_path / "c.bin"), st, derived=b)
-        st.S.real_samples()
         assert len(calls) == 1
-        assert np.array_equal(st.S.real_samples(), irfft_raw(g, st.S.data))
+        assert b.s_re.tobytes() == irfft_raw(g, st.S.data).tobytes()
+
+    def test_full_layout_sample(self, monkeypatch):
+        # undealiased data: the bundle's one scan picks the full layout, and
+        # S, u and omega are inverted there without asking again
+        g = GridSpec(32, 16.0)
+        S = strain_of(colliding_jets(g, 1.0))
+        assert not g.retained.holds(S.data)
+        calls = self.count_holds(monkeypatch)
+        b = diag._Sample(S)
+        diag.sample_functionals(S, 1.0, True, derived=b)
+        assert len(calls) == 1
+        assert b.lay is g
+        assert b.s_re.tobytes() == irfft_raw(g, S.data).tobytes()
 
     @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
     def test_per_state_of_a_run(self, monkeypatch, tmp_path, equation):
