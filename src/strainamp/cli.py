@@ -33,12 +33,12 @@ def _build_state(cfg: RunConfig):
 
 
 def _execute_run(cfg: RunConfig, out) -> int:
-    state = _build_state(cfg)
     ckpt_path = None
     if cfg.checkpoint_every > 0:
         if cfg.output_path == "-":
             raise ConfigError("checkpoint_every requires a file output_path")
         ckpt_path = cfg.output_path + ".ckpt"
+    state = _build_state(cfg)
 
     def sink(record) -> None:
         out.write(json.dumps(record.to_json_dict()) + "\n")

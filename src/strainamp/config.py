@@ -80,6 +80,13 @@ def _finite(raw: str) -> float:
     return val
 
 
+def _count(raw: str) -> int:
+    val = int(raw)
+    if val < 0:
+        raise ValueError
+    return val
+
+
 def _triple(raw: str) -> tuple[float, float, float]:
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != 3:
@@ -87,8 +94,8 @@ def _triple(raw: str) -> tuple[float, float, float]:
     return tuple(_finite(p) for p in parts)
 
 
-# key -> (RunConfig field, value parser), from the field annotations
-_PARSERS = {int: int, float: _finite, str: str, tuple[float, float, float]: _triple}
+# key -> (RunConfig field, value parser), from the field annotations (an int is a count)
+_PARSERS = {int: _count, float: _finite, str: str, tuple[float, float, float]: _triple}
 _HINTS = get_type_hints(RunConfig)
 _SCHEMA = {_key(f.name): (f, _PARSERS[_HINTS[f.name]]) for f in dc_fields(RunConfig)}
 

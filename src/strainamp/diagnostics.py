@@ -17,6 +17,7 @@ from .operators import (
     _curl_raw,
     _det_raw,
     _eig3_middle,
+    _eig3_trig,
     _lamb_box,
     _s_squared_box,
     _strain_project_raw,
@@ -183,8 +184,8 @@ def _eigen_slab(out: np.ndarray, s: np.ndarray) -> None:
     """lambda2+, det S, tr S^3 and lambda2+ ** q for each finite q in Q_VALUES.
 
     lambda2 is the closed form's middle root alone (operators._eig3_middle),
-    so it agrees with lambda_fields' to roundoff, not bit for bit."""
-    l2p = np.maximum(0.0, _eig3_middle(s), out=out[0])
+    the same bits as lambda_fields' lambda2."""
+    l2p = np.maximum(0.0, _eig3_middle(*_eig3_trig(s)), out=out[0])
     out[1], out[2] = _det_raw(s), _tr3_raw(s)
     for o, qe in zip(out[3:], _FINITE_Q):
         np.power(l2p, qe, out=o)

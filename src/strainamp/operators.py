@@ -7,6 +7,7 @@ and mutually consistent mode by mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -315,11 +316,10 @@ def _det_raw(s) -> np.ndarray:
 
 def _eig3_trig(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, 2p, phi) of the trigonometric closed form for the eigenvalues of
-    symmetric 3x3 matrices given as stacked components: with q the mean
-    eigenvalue, p the deviation scale and phi in [0, pi/3], the roots are
-    q + 2p cos(phi) (largest), q + 2p cos(phi + 2 pi/3) (smallest) and
-    q + 2p cos(phi + 4 pi/3) (middle). _eig3_raw takes all three and
-    _eig3_middle, for the diagnostics sample, the middle one. phi =
+    symmetric 3x3 matrices given as stacked components, with phi in
+    [0, pi/3]: the roots q - 2p sin(phi + pi/6) <= q + 2p sin(phi - pi/6) <=
+    q + 2p cos(phi) are ordered by construction, as each factor of 2p keeps
+    to its own band and q + 2p x rounds monotonically in x. phi =
     arccos(r)/3 is sqrt(eps)-conditioned where r is near +-1, that is at a
     repeated root."""
     xx, xy, xz, yy, yz, zz = s
@@ -331,55 +331,46 @@ def _eig3_trig(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, 2.0 * p, np.arccos(r) / 3.0
 
 
-def _eig3_raw(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted eigenvalues l1 <= l2 <= l3 of symmetric 3x3 matrices given as
-    stacked components.
-
-    The three roots of the closed form (_eig3_trig), put in order.
-    """
-    q, two_p, phi = _eig3_trig(s)
-    l3 = q + two_p * np.cos(phi)
-    l1 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
-    l2 = 3.0 * q - l1 - l3
-    # near a repeated root, l2 = 3q - l1 - l3 can stray out of order
-    lo, hi = np.minimum(l1, l2), np.maximum(l1, l2)
-    l2 = np.maximum(lo, np.minimum(hi, l3))
-    return np.minimum(lo, l3), l2, np.maximum(hi, l3)
+def _eig3_low(q, two_p, phi) -> np.ndarray:
+    """The smallest eigenvalue from _eig3_trig's (q, 2p, phi)."""
+    return q - two_p * np.sin(phi + np.pi / 6.0)
 
 
-def _eig3_middle(s) -> np.ndarray:
-    """The middle eigenvalue of symmetric 3x3 matrices given as stacked
-    components: q + 2p cos(phi + 4 pi/3) of _eig3_trig alone, with no other
-    root and no ordering. It agrees with _eig3_raw's l2 to
-    roundoff, not bit for bit.
-
-    The cosine is taken as sin(phi - pi/6), the same value at an angle in
-    [-pi/6, pi/6]: there the sine costs less than the cosine at an angle
-    near 3 pi/2, and the angle carries a smaller rounding error."""
-    q, two_p, phi = _eig3_trig(s)
+def _eig3_middle(q, two_p, phi) -> np.ndarray:
+    """The middle eigenvalue from _eig3_trig's (q, 2p, phi): the one lambda2
+    of fields, records and eig_symtensor. sin(phi - pi/6) is
+    cos(phi + 4 pi/3) at an angle in [-pi/6, pi/6], where the sine costs
+    less and the angle carries a smaller rounding error."""
     return q + two_p * np.sin(phi - np.pi / 6.0)
 
 
+def _eig3_raw(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues l1 <= l2 <= l3 of symmetric 3x3 matrices given as stacked
+    components."""
+    q, two_p, phi = _eig3_trig(s)
+    return _eig3_low(q, two_p, phi), _eig3_middle(q, two_p, phi), q + two_p * np.cos(phi)
+
+
 def eig_symtensor(m: np.ndarray) -> EigenTriple:
-    """Eigenvalues of one symmetric 3x3 matrix (upper triangle is read)."""
+    """Eigenvalues of one symmetric 3x3 matrix (upper triangle is read), taken
+    at a power-of-two scale where its size alone cannot overflow p^3 or
+    underflow it."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    comps = [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
-    l1, l2, l3 = _eig3_raw([np.asarray(v) for v in comps])
-    return EigenTriple(float(l1), float(l2), float(l3))
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    roots = _eig3_raw([np.ldexp(m[i, j], -e) for i, j in SYM_PAIRS])
+    return EigenTriple(*(math.ldexp(float(v), e) for v in roots))
 
 
 def _lambda_slab(out: np.ndarray, s: np.ndarray) -> None:
-    l1, l2, _ = _eig3_raw(s)
-    out[0], out[1] = l1, l2
-    np.maximum(0.0, l2, out=out[2])
+    q, two_p, phi = _eig3_trig(s)
+    out[0], out[1] = _eig3_low(q, two_p, phi), _eig3_middle(q, two_p, phi)
+    np.maximum(0.0, out[1], out=out[2])
 
 
 def lambda_fields(S: SymTensorField) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Pointwise eigenvalue fields (lambda1, lambda2, lambda2+ = max(0, lambda2))."""
-    g = S.grid
-    l1, l2, l2p = _by_slab(_lambda_slab, 3, S.real_samples())
-    return ScalarField(g, l1), ScalarField(g, l2), ScalarField(g, l2p)
+    return tuple(ScalarField(S.grid, f) for f in _by_slab(_lambda_slab, 3, S.real_samples()))

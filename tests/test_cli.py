@@ -126,6 +126,16 @@ class TestConfigSchema:
             parse_config(text)
         assert str(exc.value) == f"invalid value for key '{config_key(f)}': {bad!r}"
 
+    # every int key counts grid points, steps or a seed
+    @pytest.mark.parametrize(
+        "f", [f for f in RUN_FIELDS if HINTS[f.name] is int], ids=config_key
+    )
+    def test_negative_count_names_key(self, f):
+        text = f"kind = colliding_jets\nequation = model\n{config_key(f)} = -3\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"invalid value for key '{config_key(f)}': '-3'"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -208,6 +218,29 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert f"invalid value for key 'center': {raw!r}" in err
         assert "Traceback" not in err
+
+    def test_negative_checkpoint_every_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        text = (
+            "kind = colliding_jets\nequation = model\nn = 16\nt_end = 0\n"
+            f"checkpoint_every = -3\noutput_path = {out}\n"
+        )
+        assert cli.main(["run", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid value for key 'checkpoint_every': '-3'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_checkpoint_to_stdout_rejected_before_setup(self, tmp_path, monkeypatch, capsys):
+        def no_setup(*args):
+            raise AssertionError("initial data built for a rejected config")
+
+        monkeypatch.setattr(cli, "initial_strain", no_setup)
+        text = "kind = colliding_jets\nequation = model\nn = 16\ncheckpoint_every = 2\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert "checkpoint_every requires a file output_path" in captured.err
+        assert captured.out == ""
 
     def test_blowup_exit_10(self, tmp_path):
         g, H, D = jets_constants()

@@ -1,13 +1,14 @@
-"""The closed-form eigenvalue core and its two callers.
+"""The closed-form eigenvalue core and its callers.
 
-operators._eig3_trig gives (q, 2p, phi) of the trigonometric closed form.
-operators._eig3_raw (behind eig_symtensor and lambda_fields) takes all three
-roots and orders them, and must keep the bytes of the code it replaced,
-copied here as _reference_eig3: that code also gave each root a Newton step
+operators._eig3_trig gives (q, 2p, phi) of the trigonometric closed form, and
+each root is q + 2p x with x a function of phi alone in its own band, so the
+roots come out ordered with no re-ordering pass. operators._eig3_middle is the
+one lambda2 expression: lambda_fields, eig_symtensor and the diagnostics
+sample all take it, so the fields' lambda2 and lambda2+ are the records' bits.
+The roots agree to roundoff with the code they replaced, copied here as
+_reference_eig3 (l2 = 3q - l1 - l3, a re-ordering pass, and a Newton step
 where the cubic's residual exceeded 1e-12 ||m||^3, which the closed form's
-O(eps) residual never reaches. The diagnostics sample takes only
-the middle root (operators._eig3_middle), so its lambda2 norms move by
-roundoff while every other record value keeps its bytes.
+O(eps) residual never reaches), and the sample's lambda2 keeps its bytes.
 """
 
 import math
@@ -19,11 +20,12 @@ from strainamp import diagnostics as diag
 from strainamp.dynamics import SimParams, make_state, run
 from strainamp.fields import SYM_PAIRS
 from strainamp.grid import GridSpec
-from strainamp.initdata import random_solenoidal
+from strainamp.initdata import colliding_jets, random_solenoidal
 from strainamp.operators import (
     _by_slab,
     _eig3_middle,
     _eig3_raw,
+    _eig3_trig,
     eig_symtensor,
     lambda_fields,
     strain_of,
@@ -31,8 +33,8 @@ from strainamp.operators import (
 
 
 def _reference_eig3(s):
-    """The closed form as it stood before the shared core: the byte reference
-    for _eig3_raw (sorted roots, then the determinant i3)."""
+    """The closed form as it stood before the shared core, with l2 = 3q - l1 -
+    l3 and a re-ordering pass (sorted roots, then the determinant i3)."""
     xx, xy, xz, yy, yz, zz = (np.asarray(c, dtype=np.float64) for c in s)
     yz2, yzxz, xyyz = yz * yz, yz * xz, xy * yz
     i1 = xx + yy + zz
@@ -85,6 +87,10 @@ def _components(mats):
     return [mats[:, i, j] for i, j in SYM_PAIRS]
 
 
+def _middle(s):
+    return _eig3_middle(*_eig3_trig(s))
+
+
 def _matrix_sets(k=512, seed=21):
     """(exact, repeated): random, zero and multiple-of-I matrices, whose
     roots the closed form resolves to roundoff; and repeated and
@@ -127,7 +133,7 @@ class TestMiddleRoot:
         mats = _matrix_sets()[which]
         want = np.linalg.eigvalsh(mats)[:, 1]
         norm = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
-        got = _eig3_middle(_components(mats))
+        got = _middle(_components(mats))
         assert np.all(np.abs(got - want) <= tol * norm)
         # the sample's lambda2+ is that root's positive part, for m and -m
         for sign in (1.0, -1.0):
@@ -136,7 +142,7 @@ class TestMiddleRoot:
 
     def test_zero_matrix(self):
         z = np.zeros((1, 3, 3))
-        assert _eig3_middle(_components(z))[0] == 0.0
+        assert _middle(_components(z))[0] == 0.0
         assert _sample_lambda2_plus(z)[0] == 0.0
 
     # values whose 3a is exact in binary, so that q = (a + a + a)/3 is a; for
@@ -144,7 +150,7 @@ class TestMiddleRoot:
     @pytest.mark.parametrize("a", [1.0, -2.5, 0.75, 3.0, 2.0**-20, 1024.0])
     def test_multiple_of_identity(self, a):
         m = a * np.eye(3)[None]
-        assert _eig3_middle(_components(m))[0] == a
+        assert _middle(_components(m))[0] == a
         assert _sample_lambda2_plus(m)[0] == max(0.0, a)
 
 
@@ -158,22 +164,59 @@ def _integer_diagonal(k=512, seed=22):
     return m
 
 
+def _scaled_sets():
+    """The matrix sets scaled towards and past where ||m||^3 underflows or
+    overflows: past it p^3 does too, and many field-level roots are NaN."""
+    mats = np.concatenate(_matrix_sets())
+    return [_components(scale * mats) for scale in (1e-160, 1e-100, 1e100, 1e150)]
+
+
+def _all_sets():
+    exact, repeated = _matrix_sets()
+    slab = np.random.default_rng(3).standard_normal((6, 4, 16, 16))
+    return [_components(exact), _components(repeated), slab,
+            _components(_integer_diagonal()), *_scaled_sets()]
+
+
+def _largest_entry(s):
+    # within a factor 3 of ||m||, and free of the underflow of its squares
+    return np.max(np.abs(np.stack(np.broadcast_arrays(*s))), axis=0)
+
+
+def _assert_roundoff(got, want, scale, tol=1e-14):
+    """Equal to tol max|m_ij| (scale), with NaN at the same points."""
+    for g, w in zip(got, want):
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        fin = np.isfinite(w)
+        assert np.all(np.abs(g - w)[fin] <= tol * scale[fin])
+
+
+class TestOrderedRoots:
+    def test_unit_circle_factors(self):
+        # the factors of 2p: -sin(phi + pi/6) <= sin(phi - pi/6) <= cos(phi)
+        # over [0, pi/3], the ends included as arccos gives them
+        rng = np.random.default_rng(5)
+        top = np.arccos(-1.0) / 3.0
+        phi = np.concatenate([rng.uniform(0.0, top, 10**6), [0.0, np.pi / 3.0, top]])
+        low = -np.sin(phi + np.pi / 6.0)
+        mid = np.sin(phi - np.pi / 6.0)
+        assert np.all(low <= mid) and np.all(mid <= np.cos(phi))
+
+    def test_roots_ordered(self):
+        for s in _all_sets():
+            with np.errstate(all="ignore"):
+                l1, l2, l3 = _eig3_raw(s)
+            fin = np.isfinite(l1) & np.isfinite(l2) & np.isfinite(l3)
+            assert np.any(fin)
+            assert np.all(l1[fin] <= l2[fin]) and np.all(l2[fin] <= l3[fin])
+
+
 class TestUnchangedEigenvalues:
-    def test_eig3_raw_bytes(self):
-        exact, repeated = _matrix_sets()
-        mats = np.concatenate([exact, repeated])
-        slab = np.random.default_rng(3).standard_normal((6, 4, 16, 16))
-        sets = [_components(exact), _components(repeated), slab]
-        # scaled towards and past where ||m||^3 underflows or overflows (past
-        # it p^3 does too, and both give the same non-finite bytes)
-        scales = (1e-160, 1e-100, 1e100, 1e150)
-        sets += [_components(scale * mats) for scale in scales]
-        sets += [_components(_integer_diagonal())]
-        for s in sets:
+    def test_eig3_raw_to_roundoff(self):
+        for s in _all_sets():
             with np.errstate(all="ignore"):
                 got, want = _eig3_raw(s), _reference_eig3(s)[:3]
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+                _assert_roundoff(got, want, _largest_entry(s))
 
     def test_eig_symtensor(self):
         exact, repeated = _matrix_sets(k=32)
@@ -181,19 +224,36 @@ class TestUnchangedEigenvalues:
             t = eig_symtensor(m)
             comps = [np.asarray(m[i, j]) for i, j in SYM_PAIRS]
             want = _reference_eig3(comps)[:3]
-            assert (t.lambda1, t.lambda2, t.lambda3) == tuple(float(w) for w in want)
+            _assert_roundoff([t.lambda1, t.lambda2, t.lambda3], want, _largest_entry(comps))
 
     @pytest.mark.parametrize("n", [16, 48])
-    def test_lambda_fields_bytes(self, n):
+    def test_lambda_fields_to_roundoff(self, n):
         def reference_slab(out, s):
             l1, l2, _, _ = _reference_eig3(s)
             out[0], out[1] = l1, l2
             np.maximum(0.0, l2, out=out[2])
 
         S = strain_of(random_solenoidal(GridSpec(n, 16.0), n, amplitude=3.0))
-        want = _by_slab(reference_slab, 3, S.real_samples())
-        for g, w in zip(lambda_fields(S), want):
-            assert g.data.tobytes() == w.tobytes()
+        s_re = S.real_samples()
+        want = _by_slab(reference_slab, 3, s_re)
+        got = [f.data for f in lambda_fields(S)]
+        _assert_roundoff(got, want, _largest_entry(s_re))
+
+
+class TestOneLambda2:
+    # lambda_fields' lambda2 and lambda2+ are the diagnostics sample's bits
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("data", ["jets", "random"])
+    def test_lambda_fields_match_sample(self, data, n):
+        g = GridSpec(n, 16.0)
+        u = colliding_jets(g, 1.0) if data == "jets" else random_solenoidal(g, n, amplitude=3.0)
+        S = strain_of(u)
+        s_re = S.real_samples()
+        l2 = _by_slab(lambda out, s: out.__setitem__(0, _middle(s)), 1, s_re)[0]
+        l2p = _by_slab(diag._eigen_slab, 3 + len(diag._FINITE_Q), s_re)[0]
+        _, got_l2, got_l2p = lambda_fields(S)
+        assert got_l2.data.tobytes() == l2.tobytes()
+        assert got_l2p.data.tobytes() == l2p.tobytes()
 
 
 class TestUnchangedRecords:

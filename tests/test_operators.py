@@ -391,6 +391,13 @@ class TestEigenvalues:
         assert t.lambda1 <= t.lambda2 <= t.lambda3
         assert t.lambda2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-110, 1e160, 1e300, 5e-324])
+    def test_extreme_scales(self, scale):
+        # unscaled, p^3 in the closed form underflows or overflows at each
+        t = eig_symtensor(scale * np.diag([1.0, 2.0, 3.0]))
+        assert (t.lambda1, t.lambda2, t.lambda3) == pytest.approx(
+            (scale, 2.0 * scale, 3.0 * scale), rel=1e-14, abs=0.0
+        )
 
     def test_stacked_against_eigvalsh(self):
         # ordered roots at every point of stacked random, zero, multiple-of-I,
