@@ -222,18 +222,21 @@ class _Sample:
     |S|_inf, the norms of S (hs), and on the box the Lamb term
     P_df(omega x u) and S^2. The bundle holds no reference to S itself, so
     what it derives is freed with it. Real samples of omega are dropped by
-    the call that makes them, and so are those of u unless `keep_real_u`:
-    then they are held until take_real_u (a velocity_ns step's first stage)
-    takes them."""
+    the call that makes them, and so are those of u, with two exceptions set
+    by `equation`, whose step's first stage the bundle serves: for
+    velocity_ns they are held until take_real_u takes them, and for
+    full_strain u_inf comes from real_velocity, so one set of u samples
+    gives |u|_inf and the Lamb term."""
 
-    def __init__(self, S: SymTensorField, keep_real_u: bool = False) -> None:
+    def __init__(self, S: SymTensorField, equation: str | None = None) -> None:
         self.g = S.grid
         self.lay, self.sh = _layout(S)
         if not S.spectral:  # its samples are its data, as S.real_samples() gives
             self.s_re = S.data
         self.uh = self.res_constraint = None  # set by velocity()
         self._hs: dict[float, float] = {}
-        self._keep_u = keep_real_u
+        self._keep_u = equation == "velocity_ns"
+        self._full = equation == "full_strain"
         self._u_re = None
 
     def velocity(self, checked: bool = False) -> np.ndarray:
@@ -271,6 +274,9 @@ class _Sample:
 
     @cached_property
     def u_inf(self) -> float:
+        if self._full:  # real_velocity sets it
+            self.real_velocity()
+            return self.u_inf
         return _max_norm(self._real_u(self.velocity()))
 
     @cached_property

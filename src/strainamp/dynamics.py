@@ -9,7 +9,8 @@ not 6) and returns S = sym grad u, in the strain space by construction, not
 by re-projection (the records monitor it as res_constraint). Stage 1 runs
 on the state's own u = -2 div (-lap)^{-1} S, as cfl_dt and the diagnostics
 sample do, so run shares them (velocity_ns takes the real samples of u they
-made); the RK variable is its Leray projection.
+made, full_strain the Lamb term made from the same samples as |u|_inf); the
+RK variable is its Leray projection.
 
 A state is dealiased (make_state and read_checkpoint ensure it), and every
 right-hand side is dealiased, so a step never leaves the 2/3-rule box of
@@ -334,8 +335,7 @@ def run(
     """
     p = state0.params
     state = state0
-    keep_u = p.equation == "velocity_ns"  # for the first stage of each step
-    b = diag._Sample(state.S, keep_u)
+    b = diag._Sample(state.S, p.equation)
     stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
 
     def emit(st: StrainState, derived: diag._Sample) -> diag.DiagnosticsRecord:
@@ -369,7 +369,7 @@ def run(
             outcome = "blowup_detected"
             break
         steps += 1
-        b = diag._Sample(state.S, keep_u)
+        b = diag._Sample(state.S, p.equation)
         e_now, tail = _enstrophy_and_tail(state.S, derived=b)
         if not math.isfinite(e_now) or (E0 > 0 and e_now > 1e6 * E0):
             outcome = "blowup_detected"

@@ -160,6 +160,43 @@ def irfft_retained_raw(grid: "GridSpec", bh: np.ndarray) -> np.ndarray:
     return _fft.irfftn(buf, s=(grid.n,), axes=(-1,), workers=w, norm="forward")
 
 
+# -- multiplier arrays ----------------------------------------------------------
+#
+# GridSpec builds them on the full r2c layout and RetainedModes on the box,
+# each from its own 1-D mode indices and wavenumbers by these expressions, so
+# the box's arrays are the packed full-layout ones bit for bit.
+
+
+def _grid3(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """1-D axis arrays made broadcastable along axes x, y and z."""
+    return x[:, None, None], y[None, :, None], z[None, None, :]
+
+
+def _sum_sq(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x^2 + y^2 + z^2 over the grid spanned by three 1-D axis arrays."""
+    gx, gy, gz = _grid3(x, y, z)
+    return gx**2 + gy**2 + gz**2
+
+
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """1/a, zero where a vanishes."""
+    out = np.zeros_like(a)
+    np.divide(1.0, a, out=out, where=a > 0)
+    return out
+
+
+def _shells(mx: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """Integer radial shell round(|m|) per mode, from the mode indices along a
+    full axis (mx) and along the halved one (mz)."""
+    mx, mz = mx.astype(np.float64), mz.astype(np.float64)
+    return np.rint(np.sqrt(_sum_sq(mx, mx, mz))).astype(np.int64)
+
+
+def _in_tail(shells: np.ndarray, cutoff: int) -> np.ndarray:
+    """Shells in the top 1/8 of the retained ones (resolution monitor)."""
+    return shells > 0.875 * (cutoff - 1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the periodic cube [-L/2, L/2)^3.
@@ -271,17 +308,12 @@ class GridSpec:
     @cached_property
     def k2(self) -> np.ndarray:
         """|k|^2 on the spectral layout, true wavenumbers (Nyquist included)."""
-        kx = self.k1[:, None, None]
-        ky = self.k1[None, :, None]
-        kz = self.k1_half[None, None, :]
-        return kx**2 + ky**2 + kz**2
+        return _sum_sq(self.k1, self.k1, self.k1_half)
 
     @cached_property
     def inv_k2(self) -> np.ndarray:
         """1/|k|^2 with the zero mode set to 0 (zero-mean convention)."""
-        out = np.zeros_like(self.k2)
-        np.divide(1.0, self.k2, out=out, where=self.k2 > 0)
-        return out
+        return _reciprocal(self.k2)
 
     # Derivative wavenumbers zero the Nyquist mode (m = -n/2) on every axis
     # so that d/dx_i maps real fields to real fields and stays antisymmetric.
@@ -303,23 +335,16 @@ class GridSpec:
     @cached_property
     def kd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable derivative wavenumber arrays (kappa_x, kappa_y, kappa_z)."""
-        return (
-            self.kd1[:, None, None],
-            self.kd1[None, :, None],
-            self.kd1_half[None, None, :],
-        )
+        return _grid3(self.kd1, self.kd1, self.kd1_half)
 
     @cached_property
     def kd2(self) -> np.ndarray:
-        kx, ky, kz = self.kd
-        return kx**2 + ky**2 + kz**2
+        return _sum_sq(self.kd1, self.kd1, self.kd1_half)
 
     @cached_property
     def inv_kd2(self) -> np.ndarray:
         """1/|kappa|^2, zero where kappa vanishes (zero mode and pure-Nyquist modes)."""
-        out = np.zeros_like(self.kd2)
-        np.divide(1.0, self.kd2, out=out, where=self.kd2 > 0)
-        return out
+        return _reciprocal(self.kd2)
 
     # -- masks and quadrature weights ------------------------------------
 
@@ -343,18 +368,12 @@ class GridSpec:
     @cached_property
     def shell_index(self) -> np.ndarray:
         """Integer radial shell round(|m|) per stored mode."""
-        mx = self.modes1.astype(np.float64)
-        mz = self.modes1_half.astype(np.float64)
-        mag = np.sqrt(
-            mx[:, None, None] ** 2 + mx[None, :, None] ** 2 + mz[None, None, :] ** 2
-        )
-        return np.rint(mag).astype(np.int64)
+        return _shells(self.modes1, self.modes1_half)
 
     @cached_property
     def tail_mask(self) -> np.ndarray:
         """Retained modes in the top 1/8 of radial shells (resolution monitor)."""
-        top = self.cutoff - 1
-        return self.dealias_mask & (self.shell_index > 0.875 * top)
+        return self.dealias_mask & _in_tail(self.shell_index, self.cutoff)
 
     @cached_property
     def retained(self) -> "RetainedModes":
@@ -393,13 +412,17 @@ class RetainedModes:
             (slice(None), slice(c, n - c + 1), slice(None)),
             (slice(None), slice(None), slice(c, None)),
         )
-        kd1 = np.concatenate([grid.kd1[lo], grid.kd1[hi]])
-        self.kd = (kd1[:, None, None], kd1[None, :, None], grid.kd1_half[None, None, :c])
-        self.kd2 = self.pack(grid.kd2)
-        self.inv_kd2 = self.pack(grid.inv_kd2)
-        self.k2 = self.pack(grid.k2)
+        # the multipliers, from the box's own 1-D axes by GridSpec's
+        # expressions (see "multiplier arrays"): no full-layout array is formed
+        box = lambda a: np.concatenate([a[lo], a[hi]])
+        kd1, kd1_half = box(grid.kd1), grid.kd1_half[:c]
+        self.kd = _grid3(kd1, kd1, kd1_half)
+        self.kd2 = _sum_sq(kd1, kd1, kd1_half)
+        self.inv_kd2 = _reciprocal(self.kd2)
+        self.k2 = _sum_sq(box(grid.k1), box(grid.k1), grid.k1_half[:c])
         self.hermitian_weight = grid.hermitian_weight[:c].copy()
-        self.tail_mask = self.pack(grid.tail_mask)
+        # every box mode passes the dealias mask
+        self.tail_mask = _in_tail(_shells(box(grid.modes1), grid.modes1_half[:c]), c)
 
     def pack(self, a: np.ndarray) -> np.ndarray:
         """Gather the box out of a full-layout array (leading axes kept; the

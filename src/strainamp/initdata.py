@@ -8,10 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SymTensorField, VectorField, l2_norm_sq
-from .grid import GridSpec
+from .fields import ScalarField, SymTensorField, VectorField, _mode_sum, l2_norm_sq
+from .grid import GridSpec, rfft_retained_raw
 from .operators import (
     _as_spectral,
+    _leray_raw,
+    _strain_of_raw,
     leray_project,
     strain_of,
     strain_project,
@@ -73,24 +75,32 @@ def colliding_jets(
 
     u = m * ((1 - 2 z^2) (x, y, 0) + (-2z + 2(x^2 + y^2) z) (0, 0, 1)) e^{-|x|^2},
     coordinates relative to `center`. Divergence-free by construction; its
-    strain has -int det(S) = 8 pi^{3/2} / (81 sqrt(3)) at m = 1.
+    strain has -int det(S) = 8 pi^{3/2} / (81 sqrt(3)) at m = 1. Full r2c
+    layout, not dealiased.
     """
+    # the sampled field is divergence-free only up to aliasing of the Gaussian
+    # tail; project so the discrete constraint holds exactly at any resolution
+    return leray_project(forward_transform(VectorField(grid, _jets_samples(grid, m, center))))
+
+
+def _jets_samples(grid: GridSpec, m: float, center) -> np.ndarray:
+    """Real samples of the colliding-jets velocity, unprojected."""
     if grid.box_length < 16:
         warnings.warn(
             f"box_length {grid.box_length} < 16: Gaussian truncation at the "
             "boundary is no longer negligible",
-            stacklevel=2,
+            stacklevel=3,
         )
     x, y, z = _centered_coords(grid, center)
     envelope = m * np.exp(-(x * x + y * y + z * z))
     planar = 1.0 - 2.0 * z * z
     axial = -2.0 * z + 2.0 * (x * x + y * y) * z
-    u = np.stack(
-        [planar * x * envelope, planar * y * envelope, axial * envelope]
-    )
-    # the sampled field is divergence-free only up to aliasing of the Gaussian
-    # tail; project so the discrete constraint holds exactly at any resolution
-    return leray_project(forward_transform(VectorField(grid, u)))
+    return np.stack([planar * x * envelope, planar * y * envelope, axial * envelope])
+
+
+def _jets_box(grid: GridSpec, m: float, center) -> np.ndarray:
+    """colliding_jets on the retained box: its dealiased coefficients."""
+    return _leray_raw(grid.retained, rfft_retained_raw(grid, _jets_samples(grid, m, center)))
 
 
 def random_solenoidal(
@@ -101,22 +111,26 @@ def random_solenoidal(
     Deterministic in `seed`; spectral support strictly below the dealias
     cutoff; normalized so the L^2 norm equals `amplitude`.
     """
+    return VectorField(grid, grid.retained.unpack(_random_box(grid, seed, slope, amplitude)))
+
+
+def _random_box(grid: GridSpec, seed: int, slope: float, amplitude: float) -> np.ndarray:
+    """random_solenoidal on the retained box, where all its modes lie."""
     if slope >= -1:
         raise ValueError(f"slope must be < -1 for a summable spectrum, got {slope}")
+    r = grid.retained
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((3,) + grid.real_shape)
-    vh = forward_transform(VectorField(grid, noise))
+    vh = rfft_retained_raw(grid, rng.standard_normal((3,) + grid.real_shape))
     # per-mode amplitude |k|^{(slope-2)/2} makes the shell-summed spectrum ~ |k|^slope
-    shaping = np.zeros_like(grid.k2)
-    np.power(grid.k2, (slope - 2.0) / 4.0, out=shaping, where=grid.k2 > 0)
-    shaped = dealias(VectorField(grid, vh.data * shaping))
-    proj = leray_project(shaped)
+    shaping = np.zeros_like(r.k2)
+    np.power(r.k2, (slope - 2.0) / 4.0, out=shaping, where=r.k2 > 0)
+    proj = _leray_raw(r, vh * shaping)
     if amplitude == 0.0:
-        return VectorField(grid, np.zeros_like(proj.data))
-    norm = np.sqrt(l2_norm_sq(proj))
+        return np.zeros_like(proj)
+    norm = np.sqrt(_mode_sum(r, proj, proj))
     if norm == 0.0:
         return proj
-    return VectorField(grid, proj.data * (amplitude / norm))
+    return proj * (amplitude / norm)
 
 
 def hessian_probe(grid: GridSpec, f_kind: str = "hessian", center=(0.0, 0.0, 0.0)) -> SymTensorField:
@@ -202,9 +216,22 @@ def perturbed_family(
     return strain_project(SymTensorField(g, mf.data + qdat))
 
 
+def _box_strain(grid: GridSpec, uh: np.ndarray) -> SymTensorField:
+    """strain_of a velocity held on the retained box, unpacked."""
+    r = grid.retained
+    return SymTensorField(grid, r.unpack(_strain_of_raw(r, uh)))
+
+
 def initial_strain(grid: GridSpec, spec: InitSpec) -> SymTensorField:
     """Build the initial strain tensor for a run from an InitSpec, dealiased
     but not projected: dynamics.make_state projects it (a hessian_probe to 0).
+
+    Colliding jets and random data are built on the retained box, where the
+    strain_of divergence gate (ConstraintError above 1e-8) and sym grad run,
+    and unpacked once, with no full-layout transform: the jets give
+    dealias(strain_of(colliding_jets(...))) bit for bit, random data the
+    values of strain_of(random_solenoidal(...)). A checkpoint is returned as
+    read_checkpoint reads it, which is already zero outside the box.
 
     perturbed_family uses colliding jets as the base M and, as Q, the strain
     of a seeded random solenoidal field restricted to the highest shell band
@@ -213,10 +240,20 @@ def initial_strain(grid: GridSpec, spec: InitSpec) -> SymTensorField:
     ratio visibly decreases along lam in {1, 2, 4, 8}.
     """
     if spec.kind == "colliding_jets":
-        S = strain_of(colliding_jets(grid, spec.amplitude, spec.center))
-    elif spec.kind == "random_solenoidal":
-        S = strain_of(random_solenoidal(grid, spec.seed, spec.slope, spec.amplitude))
-    elif spec.kind == "hessian_probe":
+        return _box_strain(grid, _jets_box(grid, spec.amplitude, spec.center))
+    if spec.kind == "random_solenoidal":
+        return _box_strain(grid, _random_box(grid, spec.seed, spec.slope, spec.amplitude))
+    if spec.kind == "from_checkpoint":
+        from .dynamics import read_checkpoint
+
+        S = read_checkpoint(spec.path, dealias_fraction=grid.dealias_fraction).S
+        if S.grid.n != grid.n or S.grid.box_length != grid.box_length:
+            raise ValueError(
+                "checkpoint grid does not match the configured grid: "
+                f"{S.grid.n}/{S.grid.box_length} vs {grid.n}/{grid.box_length}"
+            )
+        return S
+    if spec.kind == "hessian_probe":
         S = hessian_probe(grid, "hessian", spec.center)
         if spec.amplitude != 1.0:
             S = SymTensorField(grid, S.data * spec.amplitude)
@@ -231,15 +268,6 @@ def initial_strain(grid: GridSpec, spec: InitSpec) -> SymTensorField:
         if qn > 0:
             Q = SymTensorField(grid, qh * np.sqrt(l2_norm_sq(M) / qn))
         S = perturbed_family(M, Q, int(spec.lam))
-    elif spec.kind == "from_checkpoint":
-        from .dynamics import read_checkpoint
-
-        S = read_checkpoint(spec.path, dealias_fraction=grid.dealias_fraction).S
-        if S.grid.n != grid.n or S.grid.box_length != grid.box_length:
-            raise ValueError(
-                "checkpoint grid does not match the configured grid: "
-                f"{S.grid.n}/{S.grid.box_length} vs {grid.n}/{grid.box_length}"
-            )
     else:  # pragma: no cover - InitSpec validates kinds
         raise ValueError(f"unknown initial-data kind {spec.kind!r}")
     return dealias(S)

@@ -145,17 +145,29 @@ def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray):
 # -- interconversion -------------------------------------------------------
 
 
-def divergence_residual(u: VectorField) -> float:
-    """||div u|| / ||grad u|| in the discrete L^2 sense (0 for the zero field)."""
-    uf = _as_spectral(u)
-    g = uf.grid
-    kx, ky, kz = g.kd
-    hw = g.hermitian_weight
-    div_sq = np.sum(hw * np.abs(kx * uf.data[0] + ky * uf.data[1] + kz * uf.data[2]) ** 2)
-    grad_sq = np.sum(hw * g.kd2 * np.abs(uf.data) ** 2)
+def _divergence_residual_raw(grid: GridSpec, uh: np.ndarray) -> float:
+    kx, ky, kz = grid.kd
+    hw = grid.hermitian_weight
+    div_sq = np.sum(hw * np.abs(kx * uh[0] + ky * uh[1] + kz * uh[2]) ** 2)
+    grad_sq = np.sum(hw * grid.kd2 * np.abs(uh) ** 2)
     if grad_sq == 0.0:
         return 0.0
     return float(np.sqrt(div_sq / grad_sq))
+
+
+def _strain_of_raw(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
+    """Symmetric gradient of a spectral velocity; ConstraintError when its
+    divergence residual exceeds 1e-8 or is NaN."""
+    res = _divergence_residual_raw(grid, uh)
+    if not res <= 1e-8:
+        raise ConstraintError(f"velocity divergence residual {res:.3e} exceeds 1.0e-08")
+    return _sym_grad_raw(grid, uh)
+
+
+def divergence_residual(u: VectorField) -> float:
+    """||div u|| / ||grad u|| in the discrete L^2 sense (0 for the zero field)."""
+    uf = _as_spectral(u)
+    return _divergence_residual_raw(uf.grid, uf.data)
 
 
 def strain_space_residual(S: SymTensorField) -> float:
@@ -168,10 +180,7 @@ def strain_of(u: VectorField) -> SymTensorField:
     """Symmetric gradient S_ij = (d_i u_j + d_j u_i)/2 of a solenoidal velocity;
     ConstraintError when the divergence residual exceeds 1e-8 or is NaN."""
     uf = _as_spectral(u)
-    res = divergence_residual(uf)
-    if not res <= 1e-8:
-        raise ConstraintError(f"velocity divergence residual {res:.3e} exceeds 1.0e-08")
-    return SymTensorField(uf.grid, _sym_grad_raw(uf.grid, uf.data))
+    return SymTensorField(uf.grid, _strain_of_raw(uf.grid, uf.data))
 
 
 def velocity_of(S: SymTensorField) -> VectorField:
@@ -314,6 +323,16 @@ def _det_raw(s) -> np.ndarray:
     )
 
 
+def _eig3_shift(s):
+    """(q, M - qI, p) of symmetric 3x3 matrices M given as stacked components:
+    q = tr M / 3, M - qI as stacked components, and p = ||M - qI||_F / sqrt 6."""
+    xx, xy, xz, yy, yz, zz = s
+    q = (xx + yy + zz) / 3.0
+    a, b, c = xx - q, yy - q, zz - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    return q, (a, xy, xz, b, yz, c), p
+
+
 def _eig3_trig(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, 2p, phi) of the trigonometric closed form for the eigenvalues of
     symmetric 3x3 matrices given as stacked components, with phi in
@@ -322,12 +341,9 @@ def _eig3_trig(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to its own band and q + 2p x rounds monotonically in x. phi =
     arccos(r)/3 is sqrt(eps)-conditioned where r is near +-1, that is at a
     repeated root."""
-    xx, xy, xz, yy, yz, zz = s
-    q = (xx + yy + zz) / 3.0
-    a, b, c = xx - q, yy - q, zz - q
-    p = np.sqrt((a * a + b * b + c * c + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    q, shifted, p = _eig3_shift(s)
     psafe = np.where(p > 0, p, 1.0)
-    r = np.clip(_det_raw((a, xy, xz, b, yz, c)) / psafe**3 / 2.0, -1.0, 1.0)
+    r = np.clip(_det_raw(shifted) / psafe**3 / 2.0, -1.0, 1.0)
     return q, 2.0 * p, np.arccos(r) / 3.0
 
 
@@ -351,17 +367,29 @@ def _eig3_raw(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _eig3_low(q, two_p, phi), _eig3_middle(q, two_p, phi), q + two_p * np.cos(phi)
 
 
+# below this p, p^3 is subnormal or 0, and so is det(M - qI)
+_P_CUBE_UNDERFLOW = np.finfo(np.float64).tiny ** (1.0 / 3.0)
+
+
 def eig_symtensor(m: np.ndarray) -> EigenTriple:
     """Eigenvalues of one symmetric 3x3 matrix (upper triangle is read), taken
     at a power-of-two scale where its size alone cannot overflow p^3 or
-    underflow it."""
+    underflow it. Near a multiple of the identity p^3 can still underflow
+    (0/0 in the closed form): there the roots are q plus those of
+    (M - qI) / 2^f, a power of two near p."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     e = math.frexp(float(np.max(np.abs(m))))[1]
-    roots = _eig3_raw([np.ldexp(m[i, j], -e) for i, j in SYM_PAIRS])
+    s = [np.ldexp(m[i, j], -e) for i, j in SYM_PAIRS]
+    q, shifted, p = _eig3_shift(s)
+    if 0.0 < p < _P_CUBE_UNDERFLOW:
+        f = math.frexp(float(p))[1]
+        roots = [q + np.ldexp(v, f) for v in _eig3_raw([np.ldexp(v, -f) for v in shifted])]
+    else:
+        roots = _eig3_raw(s)
     return EigenTriple(*(math.ldexp(float(v), e) for v in roots))
 
 

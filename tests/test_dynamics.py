@@ -513,7 +513,7 @@ class TestSharedDerivedFields:
         # stage takes it (3 fewer inverse transforms), then dropped
         st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation="velocity_ns")
         alone = step(st, 1e-3)
-        b = diag._Sample(st.S, keep_real_u=True)
+        b = diag._Sample(st.S, "velocity_ns")
         if via == "cfl_dt":
             cfl_dt(st, derived=b)
         else:
@@ -550,6 +550,32 @@ class TestSharedDerivedFields:
         assert len(records) == 6
         assert fft_counts == {"fwd": fwd, "inv": inv}
         assert len(checks) == 6
+
+    def test_unsampled_full_strain_state_makes_u_once(self, fft_counts, monkeypatch):
+        # a run of 3 steps with only the t = 0 sample. On a state without a
+        # sample, cfl_dt's |u|_inf and stage 1's Lamb term share one u and one
+        # set of its real samples: per step 6 inverse components (u, omega),
+        # 6 (S, for |S|_inf) and 18 (stages 2-4), 30 in all
+        from strainamp import operators
+
+        st = random_state(
+            GridSpec(16, 16.0), 3, slope=-8.0, equation="full_strain",
+            t_end=3e-3, dt_max=1e-3, output_every=100,
+        )
+        calls = []
+        for mod in (operators, diag):
+            orig = mod._velocity_raw
+            monkeypatch.setattr(
+                mod, "_velocity_raw", lambda *a, f=orig: calls.append(1) or f(*a)
+            )
+        fft_counts.update(fwd=0, inv=0)
+        report = run(st)
+        assert report.t_outcome == pytest.approx(3e-3)
+        # the t = 0 sample (12), the step from the sampled state (18), then two
+        # steps from states without a sample (30 each)
+        assert fft_counts["inv"] == 12 + 18 + 30 + 30
+        # one u per stepped state, and the sample's P_st(S^2)
+        assert len(calls) == 3 + 1
 
     @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
     def test_run_without_sink_takes_one_sample(self, monkeypatch, equation):

@@ -191,6 +191,35 @@ def _assert_roundoff(got, want, scale, tol=1e-14):
         assert np.all(np.abs(g - w)[fin] <= tol * scale[fin])
 
 
+class TestNearIdentity:
+    # c (I + d A) with d from 1e-60 to 1e-150: once d is below about 1e-103,
+    # p^3 and det(M - qI) underflow together, and the plain closed form gives
+    # 0/0 for all three roots; eig_symtensor takes them from (M - qI)/2^f
+    def test_underflowing_p_cubed(self):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = 1e-120
+        with np.errstate(divide="raise", invalid="raise"):
+            t = eig_symtensor(m)
+        assert (t.lambda1, t.lambda2, t.lambda3) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_against_eigvalsh(self, diagonal):
+        rng = np.random.default_rng(41 + diagonal)
+        for d in 10.0 ** -np.arange(60, 151, 5):
+            for _ in range(8):
+                a = rng.standard_normal((3, 3))
+                a = (a + a.T) * (1.0 - np.eye(3))
+                if diagonal:  # the diagonal's own perturbation as well
+                    a += np.diag(rng.standard_normal(3))
+                m = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-100, 100)
+                m = m * (np.eye(3) + d * a)
+                with np.errstate(divide="raise", invalid="raise"):
+                    t = eig_symtensor(m)
+                got = np.array([t.lambda1, t.lambda2, t.lambda3])
+                err = np.max(np.abs(got - np.linalg.eigvalsh(m)))
+                assert err <= 1e-14 * np.max(np.abs(m)), (d, m)
+
+
 class TestOrderedRoots:
     def test_unit_circle_factors(self):
         # the factors of 2p: -sin(phi + pi/6) <= sin(phi - pi/6) <= cos(phi)

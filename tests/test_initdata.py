@@ -1,13 +1,19 @@
 """Initial-data constructors and the dilated perturbation family."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from strainamp import diagnostics as diag
-from strainamp.fields import SymTensorField, l2_norm_sq
+from strainamp.dynamics import SimParams, make_state, read_checkpoint, write_checkpoint
+from strainamp.fields import SymTensorField, VectorField, _mode_sum, l2_norm_sq
 from strainamp.grid import GridSpec
 from strainamp.initdata import (
     InitSpec,
+    _box_strain,
+    _random_box,
     colliding_jets,
     hessian_probe,
     initial_strain,
@@ -15,14 +21,17 @@ from strainamp.initdata import (
     random_solenoidal,
 )
 from strainamp.operators import (
+    ConstraintError,
+    _divergence_residual_raw,
     divergence_residual,
+    leray_project,
     strain_of,
     strain_project,
     strain_space_residual,
     velocity_of,
 )
 from strainamp.oracle import det_integrand_quadrature
-from strainamp.spectral import inverse_transform, laplacian
+from strainamp.spectral import dealias, forward_transform, inverse_transform, laplacian
 
 CLOSED_FORM = 8.0 * np.pi**1.5 / (81.0 * np.sqrt(3.0))
 
@@ -257,3 +266,113 @@ class TestInitialStrain:
             S = initial_strain(g, InitSpec(kind=kind, **kwargs))
             u = velocity_of(S)
             assert divergence_residual(u) < 1e-10
+
+
+def _full_layout_random(grid, seed, slope, amplitude):
+    """random_solenoidal built on the full r2c layout, as before it moved onto
+    the retained box: the reference for its values."""
+    noise = np.random.default_rng(seed).standard_normal((3,) + grid.real_shape)
+    vh = forward_transform(VectorField(grid, noise))
+    shaping = np.zeros_like(grid.k2)
+    np.power(grid.k2, (slope - 2.0) / 4.0, out=shaping, where=grid.k2 > 0)
+    proj = leray_project(dealias(VectorField(grid, vh.data * shaping)))
+    return proj.data * (amplitude / np.sqrt(l2_norm_sq(proj)))
+
+
+@pytest.fixture
+def full_layout_transforms(monkeypatch):
+    """The scipy.fft rfftn/irfftn calls over all three grid axes made while
+    the test runs (the box transforms' own calls run along z alone)."""
+    calls = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            if len(kwargs.get("axes", ())) == 3:
+                calls.append(fn.__name__)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, recording(getattr(scipy.fft, name)))
+    return calls
+
+
+# GridSpec's full-layout arrays, cached on the instance when first formed
+_FULL_LAYOUT_ARRAYS = ("k2", "inv_k2", "kd2", "inv_kd2", "dealias_mask",
+                       "shell_index", "tail_mask")
+
+
+class TestSetUpOnTheBox:
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    @pytest.mark.parametrize("box_length", [16.0, 12.0])
+    def test_jets_bits(self, n, box_length):
+        g = GridSpec(n, box_length)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the box_length < 16 warning
+            for m, center in ((1.0, (0.0, 0.0, 0.0)), (-2.5, (0.3, -0.1, 0.7))):
+                S = initial_strain(g, InitSpec(kind="colliding_jets", amplitude=m,
+                                               center=center))
+                u = colliding_jets(g, m, center)
+                assert not g.retained.holds(u.data)  # full layout, not dealiased
+                assert S.data.tobytes() == dealias(strain_of(u)).data.tobytes()
+
+    def test_jets_warn_on_small_box(self):
+        with pytest.warns(UserWarning):
+            initial_strain(GridSpec(16, 8.0), InitSpec(kind="colliding_jets"))
+
+    @pytest.mark.parametrize("n, seed, slope", [(16, 2, -4.0), (32, 3, -6.0), (48, 7, -4.0)])
+    def test_random_values(self, n, seed, slope):
+        # the normalizing norm is summed over the box, so the values move by
+        # the rounding of that sum alone
+        g = GridSpec(n, 16.0)
+        want = _full_layout_random(g, seed, slope, 1.7)
+        u = random_solenoidal(g, seed, slope, 1.7)
+        assert np.max(np.abs(u.data - want)) <= 1e-15 * np.max(np.abs(want))
+        S = initial_strain(g, InitSpec(kind="random_solenoidal", seed=seed, slope=slope,
+                                       amplitude=1.7))
+        assert np.array_equal(S.data, strain_of(u).data)
+
+    def test_no_full_layout_transform_or_multiplier(self, full_layout_transforms, tmp_path):
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(path, make_state(
+            strain_of(random_solenoidal(GridSpec(16, 16.0), 5)), 0.0,
+            SimParams(1.0, "velocity_ns"),
+        ))
+        assert full_layout_transforms == []  # the writer made none either
+        for spec in (InitSpec(kind="colliding_jets", amplitude=2.0),
+                     InitSpec(kind="random_solenoidal", seed=5),
+                     InitSpec(kind="from_checkpoint", path=path)):
+            g = GridSpec(16, 16.0)
+            st = make_state(initial_strain(g, spec), 0.0, SimParams(1.0, "model"))
+            assert full_layout_transforms == [], spec.kind
+            for grid in (g, st.S.grid):
+                assert not set(_FULL_LAYOUT_ARRAYS) & set(vars(grid)), spec.kind
+
+    def test_checkpoint_returned_as_read(self, tmp_path):
+        g = GridSpec(16, 16.0)
+        path = str(tmp_path / "ckpt")
+        write_checkpoint(path, make_state(initial_strain(g, InitSpec(kind="colliding_jets")),
+                                          0.0, SimParams(1.0, "model")))
+        S = initial_strain(g, InitSpec(kind="from_checkpoint", path=path))
+        assert S.data.tobytes() == read_checkpoint(path).S.data.tobytes()
+        assert S.data.tobytes() == dealias(S).data.tobytes()
+
+    @pytest.mark.parametrize("eps, raises", [(1e-7, True), (1e-9, False)])
+    def test_box_divergence_gate(self, eps, raises):
+        # a gradient part of relative size eps: the gate on the box refuses
+        # a divergence residual above 1e-8, as strain_of does
+        g = GridSpec(16, 16.0)
+        r = g.retained
+        uh = _random_box(g, 3, -4.0, 1.0)
+        grad = 1j * np.stack(np.broadcast_arrays(*r.kd)) * _random_box(g, 4, -4.0, 1.0)[0]
+        uh = uh + eps * grad * np.sqrt(_mode_sum(r, uh, uh) / _mode_sum(r, grad, grad))
+        assert (_divergence_residual_raw(r, uh) > 1e-8) == raises
+        full = VectorField(g, r.unpack(uh))
+        if raises:
+            with pytest.raises(ConstraintError):
+                _box_strain(g, uh)
+            with pytest.raises(ConstraintError):
+                strain_of(full)
+        else:
+            assert np.array_equal(_box_strain(g, uh).data, strain_of(full).data)
