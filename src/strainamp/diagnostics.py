@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, _mode_sum
-from .grid import _irfft_full, _slabs, irfft_retained_raw
+from .grid import _ModeSet, _irfft_full, _slabs, irfft_retained_raw
 from .operators import (
     _as_real,
     _as_spectral,
@@ -90,7 +90,7 @@ def _layout(f):
     return sf.grid, sf.data
 
 
-def _hs_weight(lay, alpha: float) -> np.ndarray:
+def _hs_weight(lay: _ModeSet, alpha: float) -> np.ndarray:
     if alpha == 0:
         return np.ones_like(lay.k2)
     w = np.zeros_like(lay.k2)
@@ -98,11 +98,11 @@ def _hs_weight(lay, alpha: float) -> np.ndarray:
     return w
 
 
-def _hs(lay, a: np.ndarray, alpha: float) -> float:
+def _hs(lay: _ModeSet, a: np.ndarray, alpha: float) -> float:
     return _mode_sum(lay, a, a, _hs_weight(lay, alpha))
 
 
-def _grad_hs(lay, uh: np.ndarray, alpha: float) -> float:
+def _grad_hs(lay: _ModeSet, uh: np.ndarray, alpha: float) -> float:
     return _mode_sum(lay, uh, uh, _hs_weight(lay, alpha) * lay.kd2)
 
 
@@ -426,8 +426,9 @@ def _identity_residual(row0, row1, row2, nu: float) -> float:
 def enstrophy_identity_residual(samples, nu: float) -> float:
     """Three-point dE/dt against -2 nu ||S||^2_{H^1} - 4 int det(S).
 
-    `samples` is a sequence of at least three equally spaced records (or
-    (t, E, H1, detS) tuples); the residual is evaluated at the middle sample.
+    `samples` is a sequence of at least three records (or (t, E, H1, detS)
+    tuples) at increasing, equally spaced times; the residual is evaluated
+    at the middle sample.
     """
     rows = [
         (r.t, r.E, r.H1, r.detS) if isinstance(r, DiagnosticsRecord) else tuple(r)
@@ -436,6 +437,8 @@ def enstrophy_identity_residual(samples, nu: float) -> float:
     if len(rows) < 3:
         raise ValueError("need at least 3 consecutive samples")
     dts = np.diff([r[0] for r in rows])
+    if not np.all(dts > 0):
+        raise ValueError("sample times must increase")
     if np.any(np.abs(dts - dts[0]) > 1e-9 * max(abs(dts[0]), 1e-300)):
         raise ValueError("samples must be equally spaced in time")
     i = len(rows) // 2

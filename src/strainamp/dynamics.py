@@ -446,11 +446,13 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
         n, box_length, t, nu, code = _HEADER.unpack(header)
         if code not in _EQUATION_FROM_CODE:
             raise CheckpointError(f"unknown equation code {code}")
-        if n % 2 != 0 or n < 8 or n > 4096:
-            raise CheckpointError(f"implausible grid size n={n}")
         for name, val in (("L", box_length), ("t", t), ("nu", nu)):
             if not math.isfinite(val):
                 raise CheckpointError(f"non-finite header value {name}={val}")
+        try:  # the grid validates n and L; building it allocates nothing
+            grid = GridSpec(n, box_length, dealias_fraction)
+        except ValueError as exc:
+            raise CheckpointError(f"implausible checkpoint header: {exc}") from None
         count = 6 * n**3
         # checked before reading, so a header claiming a huge n in front of a
         # short payload allocates nothing
@@ -462,7 +464,6 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
     if not (math.isfinite(raw.min()) and math.isfinite(raw.max())):
         c = int(np.flatnonzero(~np.isfinite(raw))[0]) // n**3
         raise CheckpointError(f"non-finite payload sample in component {c}")
-    grid = GridSpec(int(n), box_length, dealias_fraction)
     # each component is stored x fastest: (z, y, x) in C order; the gather
     # makes z fastest, so the forward transform's z-lines are contiguous
     data = grid.from_monotone(raw.reshape(6, n, n, n).transpose(0, 3, 2, 1))

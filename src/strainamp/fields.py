@@ -7,7 +7,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grid import GridSpec, irfft_raw
+from .grid import GridSpec, _ModeSet, irfft_raw
 
 __all__ = [
     "ScalarField",
@@ -91,9 +91,9 @@ def _component_weights(a: np.ndarray) -> np.ndarray | float:
     return 1.0
 
 
-def _mode_sum(lay, a: np.ndarray, b: np.ndarray, mult=None) -> float:
+def _mode_sum(lay: _ModeSet, a: np.ndarray, b: np.ndarray, mult=None) -> float:
     """L^3 sum over stored modes of w Re(conj(a) b), optionally times the
-    multiplier `mult`, on a layout `lay` (a GridSpec or its retained box):
+    multiplier `mult`, on a mode set `lay` (a GridSpec or its retained box):
     w is the Hermitian multiplicity times the Frobenius component weights."""
     w = _component_weights(a) * lay.hermitian_weight
     if mult is not None:

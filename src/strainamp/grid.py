@@ -1,4 +1,4 @@
-"""Periodic-box discretization and precomputed spectral multiplier arrays."""
+"""Periodic-box grid, FFT transforms and the spectral multipliers of a mode set."""
 
 from __future__ import annotations
 
@@ -160,22 +160,12 @@ def irfft_retained_raw(grid: "GridSpec", bh: np.ndarray) -> np.ndarray:
     return _fft.irfftn(buf, s=(grid.n,), axes=(-1,), workers=w, norm="forward")
 
 
-# -- multiplier arrays ----------------------------------------------------------
-#
-# GridSpec builds them on the full r2c layout and RetainedModes on the box,
-# each from its own 1-D mode indices and wavenumbers by these expressions, so
-# the box's arrays are the packed full-layout ones bit for bit.
+# -- mode sets -------------------------------------------------------------------
 
 
 def _grid3(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     """1-D axis arrays made broadcastable along axes x, y and z."""
     return x[:, None, None], y[None, :, None], z[None, None, :]
-
-
-def _sum_sq(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """x^2 + y^2 + z^2 over the grid spanned by three 1-D axis arrays."""
-    gx, gy, gz = _grid3(x, y, z)
-    return gx**2 + gy**2 + gz**2
 
 
 def _reciprocal(a: np.ndarray) -> np.ndarray:
@@ -185,21 +175,96 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shells(mx: np.ndarray, mz: np.ndarray) -> np.ndarray:
-    """Integer radial shell round(|m|) per mode, from the mode indices along a
-    full axis (mx) and along the halved one (mz)."""
-    mx, mz = mx.astype(np.float64), mz.astype(np.float64)
-    return np.rint(np.sqrt(_sum_sq(mx, mx, mz))).astype(np.int64)
+class _ModeSet:
+    """A set of stored spectral modes and the multipliers defined on it.
 
+    A subclass supplies n, box_length, cutoff and the signed integer mode
+    indices along the two full axes (modes1) and along the halved one
+    (modes1_half). Every multiplier is an elementwise expression of those, so
+    on a subset of the modes it equals, bit for bit, the multiplier on the
+    full layout gathered to that subset, and each operator written against a
+    mode set runs unchanged on either layout.
+    """
 
-def _in_tail(shells: np.ndarray, cutoff: int) -> np.ndarray:
-    """Shells in the top 1/8 of the retained ones (resolution monitor)."""
-    return shells > 0.875 * (cutoff - 1)
+    @cached_property
+    def k1(self) -> np.ndarray:
+        return (2.0 * np.pi / self.box_length) * self.modes1
+
+    @cached_property
+    def k1_half(self) -> np.ndarray:
+        return (2.0 * np.pi / self.box_length) * self.modes1_half
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 per stored mode, true wavenumbers (Nyquist included)."""
+        kx, ky, kz = _grid3(self.k1, self.k1, self.k1_half)
+        return kx**2 + ky**2 + kz**2
+
+    @cached_property
+    def inv_k2(self) -> np.ndarray:
+        """1/|k|^2 with the zero mode set to 0 (zero-mean convention)."""
+        return _reciprocal(self.k2)
+
+    # Derivative wavenumbers zero the Nyquist mode (|m| = n/2) on every axis
+    # so that d/dx_i maps real fields to real fields and stays antisymmetric.
+    # All vector-calculus operators (curl, div, Leray, strain projection) are
+    # built from these, which keeps projections exactly idempotent per mode.
+
+    @cached_property
+    def kd1(self) -> np.ndarray:
+        return np.where(np.abs(self.modes1) == self.n // 2, 0.0, self.k1)
+
+    @cached_property
+    def kd1_half(self) -> np.ndarray:
+        return np.where(self.modes1_half == self.n // 2, 0.0, self.k1_half)
+
+    @cached_property
+    def kd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Broadcastable derivative wavenumber arrays (kappa_x, kappa_y, kappa_z)."""
+        return _grid3(self.kd1, self.kd1, self.kd1_half)
+
+    @cached_property
+    def kd2(self) -> np.ndarray:
+        kx, ky, kz = self.kd
+        return kx**2 + ky**2 + kz**2
+
+    @cached_property
+    def inv_kd2(self) -> np.ndarray:
+        """1/|kappa|^2, zero where kappa vanishes (zero mode and pure-Nyquist modes)."""
+        return _reciprocal(self.kd2)
+
+    # -- masks and quadrature weights ------------------------------------
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """Boolean retain-mask: True where all |m_i| <= cutoff - 1."""
+        full, half = np.abs(self.modes1) < self.cutoff, self.modes1_half < self.cutoff
+        mx, my, mz = _grid3(full, full, half)
+        return mx & my & mz
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """Multiplicity of each stored mode along the halved axis (2 for interior)."""
+        m = self.modes1_half
+        return np.where((m == 0) | (m == self.n // 2), 1.0, 2.0)
+
+    @cached_property
+    def shell_index(self) -> np.ndarray:
+        """Integer radial shell round(|m|) per stored mode."""
+        full, half = self.modes1.astype(np.float64), self.modes1_half.astype(np.float64)
+        mx, my, mz = _grid3(full, full, half)
+        return np.rint(np.sqrt(mx**2 + my**2 + mz**2)).astype(np.int64)
+
+    @cached_property
+    def tail_mask(self) -> np.ndarray:
+        """Retained modes in the top 1/8 of radial shells (resolution monitor)."""
+        return self.dealias_mask & (self.shell_index > 0.875 * (self.cutoff - 1))
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid on the periodic cube [-L/2, L/2)^3.
+class GridSpec(_ModeSet):
+    """Uniform grid on the periodic cube [-L/2, L/2)^3, with the full
+    real-to-complex layout of its spectral modes as its mode set.
 
     Wavenumbers are k = 2*pi*m/L for integer mode indices m in [-n/2, n/2).
     Spectral coefficients follow the mean normalization: the forward
@@ -209,7 +274,7 @@ class GridSpec:
     Parameters
     ----------
     n : int
-        Points per axis; even and >= 8.
+        Points per axis; even, with 8 <= n <= 4096.
     box_length : float
         Side length L of the cube.
     dealias_fraction : float
@@ -223,8 +288,8 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.n % 2 != 0 or self.n < 8:
-            raise ValueError(f"n must be even and >= 8, got {self.n}")
+        if self.n % 2 != 0 or not 8 <= self.n <= 4096:
+            raise ValueError(f"n must be even with 8 <= n <= 4096, got {self.n}")
         if not self.box_length > 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
         if not 0.0 < self.dealias_fraction <= 1.0:
@@ -267,8 +332,7 @@ class GridSpec:
 
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays (X, Y, Z) centered on the box."""
-        x = self.x1
-        return x[:, None, None], x[None, :, None], x[None, None, :]
+        return _grid3(self.x1, self.x1, self.x1)
 
     def to_monotone(self, a: np.ndarray) -> np.ndarray:
         """Reorder trailing grid axes from FFT storage order to increasing x:
@@ -285,7 +349,7 @@ class GridSpec:
         """The inverse of to_monotone, which is the same swap of halves."""
         return self.to_monotone(a)
 
-    # -- mode indices and wavenumbers ------------------------------------
+    # -- the full layout's mode indices -----------------------------------
 
     @cached_property
     def modes1(self) -> np.ndarray:
@@ -298,110 +362,35 @@ class GridSpec:
         return np.arange(self.n // 2 + 1, dtype=np.int64)
 
     @cached_property
-    def k1(self) -> np.ndarray:
-        return (2.0 * np.pi / self.box_length) * self.modes1
-
-    @cached_property
-    def k1_half(self) -> np.ndarray:
-        return (2.0 * np.pi / self.box_length) * self.modes1_half
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        """|k|^2 on the spectral layout, true wavenumbers (Nyquist included)."""
-        return _sum_sq(self.k1, self.k1, self.k1_half)
-
-    @cached_property
-    def inv_k2(self) -> np.ndarray:
-        """1/|k|^2 with the zero mode set to 0 (zero-mean convention)."""
-        return _reciprocal(self.k2)
-
-    # Derivative wavenumbers zero the Nyquist mode (m = -n/2) on every axis
-    # so that d/dx_i maps real fields to real fields and stays antisymmetric.
-    # All vector-calculus operators (curl, div, Leray, strain projection) are
-    # built from these, which keeps projections exactly idempotent per mode.
-
-    @cached_property
-    def kd1(self) -> np.ndarray:
-        k = self.k1.copy()
-        k[self.n // 2] = 0.0
-        return k
-
-    @cached_property
-    def kd1_half(self) -> np.ndarray:
-        k = self.k1_half.copy()
-        k[-1] = 0.0
-        return k
-
-    @cached_property
-    def kd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable derivative wavenumber arrays (kappa_x, kappa_y, kappa_z)."""
-        return _grid3(self.kd1, self.kd1, self.kd1_half)
-
-    @cached_property
-    def kd2(self) -> np.ndarray:
-        return _sum_sq(self.kd1, self.kd1, self.kd1_half)
-
-    @cached_property
-    def inv_kd2(self) -> np.ndarray:
-        """1/|kappa|^2, zero where kappa vanishes (zero mode and pure-Nyquist modes)."""
-        return _reciprocal(self.kd2)
-
-    # -- masks and quadrature weights ------------------------------------
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean retain-mask: True where all |m_i| <= cutoff - 1."""
-        c = self.cutoff
-        mx = np.abs(self.modes1) < c
-        mz = np.abs(self.modes1_half) < c
-        return mx[:, None, None] & mx[None, :, None] & mz[None, None, :]
-
-    @cached_property
-    def hermitian_weight(self) -> np.ndarray:
-        """Multiplicity of each stored mode along the halved axis (2 for interior)."""
-        w = np.full(self.n // 2 + 1, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        return w
-
-
-    @cached_property
-    def shell_index(self) -> np.ndarray:
-        """Integer radial shell round(|m|) per stored mode."""
-        return _shells(self.modes1, self.modes1_half)
-
-    @cached_property
-    def tail_mask(self) -> np.ndarray:
-        """Retained modes in the top 1/8 of radial shells (resolution monitor)."""
-        return self.dealias_mask & _in_tail(self.shell_index, self.cutoff)
-
-    @cached_property
     def retained(self) -> "RetainedModes":
         """The modes kept by dealiasing, stored densely (see RetainedModes)."""
         return RetainedModes(self)
 
 
-class RetainedModes:
+class RetainedModes(_ModeSet):
     """The 2/3-rule box of modes with every |m_i| <= cutoff - 1, stored as a
     dense (2c-1, 2c-1, c) array in FFT order, c = cutoff.
 
     Along the two full axes the box holds m = 0..c-1 then -(c-1)..-1; along
     the halved axis m = 0..c-1. A dealiased field is exactly zero outside the
     box, so mode-by-mode operators give the same values on the packed array
-    as on the full layout. The box carries the multiplier arrays those
-    operators read (kd, kd2, inv_kd2, k2, hermitian_weight, tail_mask,
-    box_length), each equal to the packed GridSpec array, so the `_raw`
-    helpers accept it in place of a grid.
+    as on the full layout. As a mode set it carries n, cutoff, box_length
+    and its own modes1 and modes1_half, from which each multiplier (k2,
+    inv_k2, kd, kd2, inv_kd2, hermitian_weight, dealias_mask, shell_index,
+    tail_mask) is formed on first use, equal to the packed GridSpec array, so
+    the `_raw` helpers accept the box in place of a grid.
     """
 
     def __init__(self, grid: GridSpec) -> None:
         n, c = grid.n, grid.cutoff
+        self.n, self.cutoff, self.box_length = n, c, grid.box_length
         self.full_shape = grid.spectral_shape
-        self.box_length = grid.box_length
         self.shape = (2 * c - 1, 2 * c - 1, c)
         # the box is four blocks of the full layout: (lo | hi) x (lo | hi) x [:c]
         lo, hi = slice(0, c), slice(n - c + 1, n)
         self.rows = (lo, hi)  # the box indices along a full axis
+        self.modes1 = np.concatenate([grid.modes1[lo], grid.modes1[hi]])
+        self.modes1_half = grid.modes1_half[:c]
         self._blocks = [
             ((bx, by, slice(None)), (fx, fy, slice(0, c)))
             for bx, fx in ((slice(0, c), lo), (slice(c, None), hi))
@@ -412,17 +401,6 @@ class RetainedModes:
             (slice(None), slice(c, n - c + 1), slice(None)),
             (slice(None), slice(None), slice(c, None)),
         )
-        # the multipliers, from the box's own 1-D axes by GridSpec's
-        # expressions (see "multiplier arrays"): no full-layout array is formed
-        box = lambda a: np.concatenate([a[lo], a[hi]])
-        kd1, kd1_half = box(grid.kd1), grid.kd1_half[:c]
-        self.kd = _grid3(kd1, kd1, kd1_half)
-        self.kd2 = _sum_sq(kd1, kd1, kd1_half)
-        self.inv_kd2 = _reciprocal(self.kd2)
-        self.k2 = _sum_sq(box(grid.k1), box(grid.k1), grid.k1_half[:c])
-        self.hermitian_weight = grid.hermitian_weight[:c].copy()
-        # every box mode passes the dealias mask
-        self.tail_mask = _in_tail(_shells(box(grid.modes1), grid.modes1_half[:c]), c)
 
     def pack(self, a: np.ndarray) -> np.ndarray:
         """Gather the box out of a full-layout array (leading axes kept; the

@@ -1,8 +1,8 @@
 """Strain/velocity/vorticity calculus, projections, and pointwise eigenvalues.
 
-Vector-calculus multipliers share the Nyquist-zeroed wavenumbers kappa from
-GridSpec.kd, which makes leray_project and strain_project exactly idempotent
-and mutually consistent mode by mode.
+Vector-calculus multipliers share the Nyquist-zeroed wavenumbers kappa of
+the mode set's kd, which makes leray_project and strain_project exactly
+idempotent and mutually consistent mode by mode.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .fields import SYM_PAIRS, ScalarField, SymTensorField, VectorField, _mode_sum
-from .grid import GridSpec, _rfft_box_by_slab, _slabs, irfft_raw as _irfft_raw
+from .grid import GridSpec, _ModeSet, _rfft_box_by_slab, _slabs
+from .grid import irfft_raw as _irfft_raw
 from .spectral import forward_transform
 
 __all__ = [
@@ -54,9 +55,9 @@ class EigenTriple:
 
 # -- raw-array helpers (hot path) -----------------------------------------
 #
-# The mode-by-mode helpers take `grid`, either a GridSpec with its full r2c
-# layout or its RetainedModes box (grid.retained); both carry the same
-# multiplier attributes, so each operator is written once for both layouts.
+# The mode-by-mode helpers take `grid`, any mode set: a GridSpec with its
+# full r2c layout or its RetainedModes box (grid.retained). Both take every
+# multiplier from grid._ModeSet, so each operator is written once for both.
 
 
 def _as_spectral(f):
@@ -67,7 +68,7 @@ def _as_real(f):
     return f if not f.spectral else type(f)(f.grid, f.real_samples())
 
 
-def _div_sym_raw(grid: GridSpec, mh: np.ndarray) -> np.ndarray:
+def _div_sym_raw(grid: _ModeSet, mh: np.ndarray) -> np.ndarray:
     """Row divergence (div M)_i = i kappa_j M_ij of a spectral 6-component tensor."""
     kx, ky, kz = grid.kd
     return np.stack(
@@ -79,7 +80,7 @@ def _div_sym_raw(grid: GridSpec, mh: np.ndarray) -> np.ndarray:
     )
 
 
-def _sym_grad_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+def _sym_grad_raw(grid: _ModeSet, vh: np.ndarray) -> np.ndarray:
     """Symmetric gradient (components xx, xy, xz, yy, yz, zz) of a spectral vector."""
     kx, ky, kz = grid.kd
     return np.stack(
@@ -94,23 +95,23 @@ def _sym_grad_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
     )
 
 
-def _leray_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+def _leray_raw(grid: _ModeSet, vh: np.ndarray) -> np.ndarray:
     kx, ky, kz = grid.kd
     kv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) * grid.inv_kd2
     return np.stack([vh[0] - kx * kv, vh[1] - ky * kv, vh[2] - kz * kv])
 
 
-def _velocity_raw(grid: GridSpec, sh: np.ndarray) -> np.ndarray:
+def _velocity_raw(grid: _ModeSet, sh: np.ndarray) -> np.ndarray:
     """u = -2 div (-lap)^{-1} S for a spectral strain tensor."""
     return -2.0 * grid.inv_kd2 * _div_sym_raw(grid, sh)
 
 
-def _strain_project_raw(grid: GridSpec, mh: np.ndarray) -> np.ndarray:
+def _strain_project_raw(grid: _ModeSet, mh: np.ndarray) -> np.ndarray:
     """P_st M = sym_grad(-2 (-lap)^{-1} P_df div M), all with kappa wavenumbers."""
     return _sym_grad_raw(grid, _leray_raw(grid, _velocity_raw(grid, mh)))
 
 
-def _curl_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+def _curl_raw(grid: _ModeSet, vh: np.ndarray) -> np.ndarray:
     kx, ky, kz = grid.kd
     vx, vy, vz = vh
     return np.stack(
@@ -122,7 +123,7 @@ def _curl_raw(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
     )
 
 
-def _strain_residual_raw(grid: GridSpec, sh: np.ndarray, uh: np.ndarray) -> float:
+def _strain_residual_raw(grid: _ModeSet, sh: np.ndarray, uh: np.ndarray) -> float:
     """||P_st S - S|| / ||S|| of a spectral strain tensor (0 for S = 0), from
     S and its velocity uh = _velocity_raw(grid, sh): P_st S = sym grad P_df u."""
     denom = _mode_sum(grid, sh, sh)
@@ -132,7 +133,7 @@ def _strain_residual_raw(grid: GridSpec, sh: np.ndarray, uh: np.ndarray) -> floa
     return float(np.sqrt(_mode_sum(grid, d, d) / denom))
 
 
-def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray):
+def _velocity_checked_raw(grid: _ModeSet, sh: np.ndarray):
     """(_velocity_raw, strain-space residual); ConstraintError above 1e-6 or
     when the residual is NaN. u is formed once and also serves P_st S."""
     uh = _velocity_raw(grid, sh)
@@ -145,7 +146,7 @@ def _velocity_checked_raw(grid: GridSpec, sh: np.ndarray):
 # -- interconversion -------------------------------------------------------
 
 
-def _divergence_residual_raw(grid: GridSpec, uh: np.ndarray) -> float:
+def _divergence_residual_raw(grid: _ModeSet, uh: np.ndarray) -> float:
     kx, ky, kz = grid.kd
     hw = grid.hermitian_weight
     div_sq = np.sum(hw * np.abs(kx * uh[0] + ky * uh[1] + kz * uh[2]) ** 2)
@@ -155,7 +156,7 @@ def _divergence_residual_raw(grid: GridSpec, uh: np.ndarray) -> float:
     return float(np.sqrt(div_sq / grad_sq))
 
 
-def _strain_of_raw(grid: GridSpec, uh: np.ndarray) -> np.ndarray:
+def _strain_of_raw(grid: _ModeSet, uh: np.ndarray) -> np.ndarray:
     """Symmetric gradient of a spectral velocity; ConstraintError when its
     divergence residual exceeds 1e-8 or is NaN."""
     res = _divergence_residual_raw(grid, uh)

@@ -344,6 +344,19 @@ class TestCmdRun:
         assert "truncated checkpoint payload" in capsys.readouterr().err
         assert out.read_text() == ""
 
+    def test_oversized_n_exit_2(self, tmp_path, monkeypatch, capsys):
+        def no_setup(*args):
+            raise AssertionError("initial data built for a rejected grid size")
+
+        monkeypatch.setattr(cli, "initial_strain", no_setup)
+        out = tmp_path / "out.jsonl"
+        text = f"kind = colliding_jets\nequation = model\nn = 1000000\noutput_path = {out}\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "n must be even with 8 <= n <= 4096, got 1000000" in err
+        assert "Traceback" not in err
+        assert out.read_text() == ""
+
 
 class TestCmdVerify:
     def test_quick_passes(self, capsys):

@@ -408,6 +408,10 @@ class TestEnstrophyIdentityResidual:
         rows = [(0.0, 1.0, 1.0, 0.0), (0.1, 1.0, 1.0, 0.0), (0.35, 1.0, 1.0, 0.0)]
         with pytest.raises(ValueError):
             diag.enstrophy_identity_residual(rows, nu=1.0)
+        # equal spacing of zero: the times do not increase
+        rows = [(0.1, 1.0, 1.0, 0.0)] * 3
+        with pytest.raises(ValueError, match="sample times must increase"):
+            diag.enstrophy_identity_residual(rows, nu=1.0)
 
     def test_steady_zero(self):
         rows = [(0.0, 0.0, 0.0, 0.0), (0.1, 0.0, 0.0, 0.0), (0.2, 0.0, 0.0, 0.0)]

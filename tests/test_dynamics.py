@@ -792,6 +792,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated checkpoint payload"):
             read_checkpoint(str(path))
 
+    @pytest.mark.parametrize("n", [4098, 15])
+    def test_implausible_n_names_n(self, tmp_path, n):
+        import struct
+
+        path = tmp_path / "bad_n.ckpt"
+        header = struct.pack("<QdddB", n, 16.0, 0.0, 1.0, 0)
+        path.write_bytes(b"STRN1\x00" + header + bytes(64))
+        with pytest.raises(CheckpointError, match=f"n must be even .* got {n}"):
+            read_checkpoint(str(path))
+
     def test_layout_header(self, tmp_path):
         g = GridSpec(16, 4.0)
         st = StrainState(

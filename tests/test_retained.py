@@ -320,7 +320,8 @@ class TestRetainedModes:
     def test_multipliers_are_packed_full_arrays(self, n, fraction):
         g = GridSpec(n, 16.0, fraction)
         r = g.retained
-        for name in ("kd2", "inv_kd2", "k2", "tail_mask"):
+        for name in ("kd2", "inv_kd2", "k2", "inv_k2", "dealias_mask", "shell_index",
+                     "tail_mask"):
             assert np.array_equal(getattr(r, name), r.pack(getattr(g, name))), name
         for a, b in zip(r.kd, g.kd):
             full = np.broadcast_to(b, g.spectral_shape)

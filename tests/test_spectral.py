@@ -31,6 +31,8 @@ class TestGridSpec:
             GridSpec(7, 2 * np.pi)
         with pytest.raises(ValueError):
             GridSpec(6, 2 * np.pi)
+        with pytest.raises(ValueError, match="n must be even"):
+            GridSpec(4098, 16.0)
         with pytest.raises(ValueError):
             GridSpec(16, -1.0)
         with pytest.raises(ValueError):
