@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 from .config import ConfigError, RunConfig, parse_config, parse_sweep_config
 from .diagnostics import RECORD_KEYS, envelope_check
@@ -32,34 +33,34 @@ def _build_state(cfg: RunConfig):
     return make_state(S, 0.0, cfg.sim_params())
 
 
-def _execute_run(cfg: RunConfig, out) -> int:
+def _execute_run(cfg: RunConfig) -> int:
     ckpt_path = None
     if cfg.checkpoint_every > 0:
         if cfg.output_path == "-":
             raise ConfigError("checkpoint_every requires a file output_path")
         ckpt_path = cfg.output_path + ".ckpt"
     state = _build_state(cfg)
+    # opened only now, so a config that set-up rejects leaves a previous run's
+    # output as it was
+    stdout = cfg.output_path == "-"
+    with nullcontext(sys.stdout) if stdout else open(cfg.output_path, "w") as out:
 
-    def sink(record) -> None:
-        out.write(json.dumps(record.to_json_dict()) + "\n")
+        def sink(record) -> None:
+            out.write(json.dumps(record.to_json_dict()) + "\n")
 
-    report = run(
-        state,
-        sink,
-        checkpoint_every=cfg.checkpoint_every,
-        checkpoint_path=ckpt_path,
-    )
-    out.write(json.dumps(report.to_json_dict()) + "\n")
+        report = run(
+            state,
+            sink,
+            checkpoint_every=cfg.checkpoint_every,
+            checkpoint_path=ckpt_path,
+        )
+        out.write(json.dumps(report.to_json_dict()) + "\n")
     return _OUTCOME_EXIT[report.outcome]
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = parse_config(_read(args.config))
-        if cfg.output_path == "-":
-            return _execute_run(cfg, sys.stdout)
-        with open(cfg.output_path, "w") as out:
-            return _execute_run(cfg, out)
+        return _execute_run(parse_config(_read(args.config)))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,9 +20,9 @@ from .operators import (
     _eig3_trig,
     _lamb_box,
     _s_squared_box,
+    _strain_checked_raw,
     _strain_project_raw,
     _sym_grad_raw,
-    _velocity_checked_raw,
     _velocity_raw,
 )
 
@@ -218,66 +218,56 @@ class _Sample:
     dynamics.step, dynamics.write_checkpoint and sample_functionals. On
     `lay`, the retained box when S is dealiased and the full layout
     otherwise (see _layout, the one scan of S for modes outside the box): S
-    (`sh`), then on first use S's real samples (`s_re`), u, |u|_inf,
-    |S|_inf, the norms of S (hs), and on the box the Lamb term
-    P_df(omega x u) and S^2. The bundle holds no reference to S itself, so
-    what it derives is freed with it. Real samples of omega are dropped by
-    the call that makes them, and so are those of u, with two exceptions set
-    by `equation`, whose step's first stage the bundle serves: for
-    velocity_ns they are held until take_real_u takes them, and for
-    full_strain u_inf comes from real_velocity, so one set of u samples
-    gives |u|_inf and the Lamb term."""
+    (`sh`), then on first use S's real samples (`s_re`), u (`uh`), its
+    strain-space check (`res_constraint`: omega and the isometry wait for
+    it, |u|_inf does not), u's real samples (`u_re`), |u|_inf, |S|_inf, the
+    norms of S (hs), and on the box the Lamb term P_df(omega x u) and S^2.
+    The bundle holds no reference to S itself, so what it derives is freed
+    with it. One rule holds for u whatever the equation: its real samples
+    are made once, by the first reader (|u|_inf or the Lamb term), and held
+    until dynamics.step takes them with take_real_u. Those of omega are
+    dropped by the call that makes them."""
 
-    def __init__(self, S: SymTensorField, equation: str | None = None) -> None:
+    def __init__(self, S: SymTensorField) -> None:
         self.g = S.grid
         self.lay, self.sh = _layout(S)
         if not S.spectral:  # its samples are its data, as S.real_samples() gives
             self.s_re = S.data
-        self.uh = self.res_constraint = None  # set by velocity()
         self._hs: dict[float, float] = {}
-        self._keep_u = equation == "velocity_ns"
-        self._full = equation == "full_strain"
-        self._u_re = None
-
-    def velocity(self, checked: bool = False) -> np.ndarray:
-        """u on lay; `checked` runs the strain-space residual check once."""
-        if checked and self.res_constraint is None:
-            self.uh, self.res_constraint = _velocity_checked_raw(self.lay, self.sh)
-        elif self.uh is None:
-            self.uh = _velocity_raw(self.lay, self.sh)
-        return self.uh
-
-    def _real_u(self, uh: np.ndarray) -> np.ndarray:
-        u_re = self.real(uh)
-        if self._keep_u:
-            self._u_re = u_re
-        return u_re
-
-    def take_real_u(self) -> np.ndarray:
-        """Real samples of u: those u_inf or real_velocity kept, else made now.
-        The bundle holds them no longer."""
-        u_re, self._u_re = self._u_re, None
-        return self.real(self.velocity()) if u_re is None else u_re
-
-    def real_velocity(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real samples of u (checked) and omega; sets u_inf and lamb."""
-        uh = self.velocity(checked=True)
-        u_re, w_re = self._real_u(uh), self.real(_curl_raw(self.lay, uh))
-        self.u_inf = _max_norm(u_re)
-        self.lamb = _lamb_box(self.g, u_re, w_re)
-        return u_re, w_re
 
     @cached_property
-    def lamb(self) -> np.ndarray:  # real_velocity sets it
-        self.real_velocity()
-        return self.lamb
+    def uh(self) -> np.ndarray:
+        return _velocity_raw(self.lay, self.sh)
+
+    @cached_property
+    def res_constraint(self) -> float:
+        return _strain_checked_raw(self.lay, self.sh, self.uh)
+
+    @cached_property
+    def u_re(self) -> np.ndarray:
+        return self.real(self.uh)
 
     @cached_property
     def u_inf(self) -> float:
-        if self._full:  # real_velocity sets it
-            self.real_velocity()
-            return self.u_inf
-        return _max_norm(self._real_u(self.velocity()))
+        return _max_norm(self.u_re)
+
+    def take_real_u(self) -> np.ndarray | None:
+        """u's real samples, which the bundle holds no longer (None if no
+        reader made them)."""
+        return self.__dict__.pop("u_re", None)
+
+    def real_vorticity(self) -> np.ndarray:
+        """Real samples of omega, not held, made once u has passed the
+        strain-space check (ConstraintError); sets lamb from them and u_re."""
+        self.res_constraint
+        w_re = self.real(_curl_raw(self.lay, self.uh))
+        self.lamb = _lamb_box(self.g, self.u_re, w_re)
+        return w_re
+
+    @cached_property
+    def lamb(self) -> np.ndarray:  # real_vorticity sets it
+        self.real_vorticity()
+        return self.lamb
 
     @cached_property
     def s_re(self) -> np.ndarray:
@@ -326,7 +316,8 @@ def _max_norm(v_re: np.ndarray) -> float:
 
 
 def _isometry(b: _Sample) -> float:
-    uh = b.velocity(checked=True)
+    b.res_constraint  # the identities read u only after its strain-space check
+    uh = b.uh
     wh = _curl_raw(b.lay, uh)
     worst = 0.0
     for alpha in (-1.0, 0.0, 1.0):
@@ -395,7 +386,7 @@ def vortex_det_residual(S: SymTensorField) -> float:
     """|<S, omega x omega> + 4 int det(S)| scaled by ||S|| ||omega||^2_{L^4}."""
     b = _Sample(S)
     det = det_integral(SymTensorField(b.g, b.s_re))
-    return _vortex_det(b, b.real_velocity()[1], det)
+    return _vortex_det(b, b.real_vorticity(), det)
 
 
 def perturbative_ratio(S: SymTensorField, nu: float) -> float:
@@ -560,14 +551,15 @@ def sample_functionals(
 
     `derived` is S's _Sample when the caller shares it (dynamics.run does);
     the results are the same bits without it. One eigenvalue pass gives the
-    lambda2+ norms, int det(S) and int tr(S^3). u comes from one strain-space
-    residual check, whose value ||P_st S - S|| / ||S|| is res_constraint. E,
-    K and H1 also serve the isometry check, and res_orth and the ratio share
-    the Lamb term and S^2."""
+    lambda2+ norms, int det(S) and int tr(S^3). u is formed once and passes
+    one strain-space check, whose value ||P_st S - S|| / ||S|| is
+    res_constraint. E, K and H1 also serve the isometry check, and res_orth
+    and the ratio share the Lamb term and S^2."""
     b = _Sample(S) if derived is None else derived
-    # the eigenvalue pass first, while no real u or omega is held
+    # the eigenvalue pass first, while no real u or omega is held (run
+    # samples a state before its cfl_dt)
     lam2_norms, det, tr3 = _eigen_pass(b.s_re, b.g.cell_volume)
-    w_re = b.real_velocity()[1]
+    w_re = b.real_vorticity()
     e = b.hs(0.0)
     h1 = b.hs(1.0)
     f = -3.0 * nu * h1 - 4.0 * det

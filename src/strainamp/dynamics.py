@@ -8,9 +8,10 @@ equation is stepped in velocity variables: `step` advances u (3 components,
 not 6) and returns S = sym grad u, in the strain space by construction, not
 by re-projection (the records monitor it as res_constraint). Stage 1 runs
 on the state's own u = -2 div (-lap)^{-1} S, as cfl_dt and the diagnostics
-sample do, so run shares them (velocity_ns takes the real samples of u they
-made, full_strain the Lamb term made from the same samples as |u|_inf); the
-RK variable is its Leray projection.
+sample do, so run shares them through the state's diagnostics._Sample: its
+one set of u's real samples gives |u|_inf and the Lamb term, and is held
+until `step` takes it, whatever the equation (velocity_ns runs stage 1 on
+it); the RK variable is the Leray projection of u.
 
 A state is dealiased (make_state and read_checkpoint ensure it), and every
 right-hand side is dealiased, so a step never leaves the 2/3-rule box of
@@ -239,18 +240,19 @@ def step(
     state: StrainState, dt: float, *, derived: diag._Sample | None = None
 ) -> StrainState:
     """Advance one step of size dt in velocity variables; for full_strain, u
-    is recovered through the strain-space residual check (ConstraintError)
-    once per step. Raises NonFiniteStateError on overflow. The first stage
-    runs on the state's own u (the model's on its S^2, velocity_ns's on the
-    real samples of u it keeps) from `derived`, the state's
-    diagnostics._Sample, built here when not given.
+    passes the strain-space residual check (ConstraintError) once per step.
+    Raises NonFiniteStateError on overflow. The first stage runs on the
+    state's own u from `derived`, the state's diagnostics._Sample, built here
+    when not given: the model's on its S^2, full_strain's on its Lamb term
+    and velocity_ns's on u's real samples. Whatever the equation, the step
+    takes those samples from the bundle, so they are held no longer.
 
     The state must be dealiased (as make_state, step and read_checkpoint
     leave it): the stages run on the retained box only, so a state with
     content outside it is refused with ValueError rather than truncated.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if dt > state.params.dt_max:
         raise ValueError(f"dt {dt} exceeds dt_max {state.params.dt_max}")
     g = state.S.grid
@@ -263,8 +265,8 @@ def step(
     e_half = np.exp(-(state.params.nu * dt / 2.0) * r.k2)
     eq = state.params.equation
 
-    uh = b.velocity(checked=eq == "full_strain")
     if eq == "full_strain":
+        b.res_constraint  # the step's one strain-space check
         n1 = -b.lamb
         stage = lambda x: _full_stage(g, x)
     elif eq == "model":
@@ -273,10 +275,11 @@ def step(
         stage = lambda x: _model_stage(g, s2_of(x))
     else:
         stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
-        n1 = _velocity_stage(g, b.take_real_u())
+        n1 = _velocity_stage(g, b.u_re)
+    b.take_real_u()
     # -2 div (-lap)^{-1} sym grad u = u + grad (-lap)^{-1}(-div u): unprojected,
     # the roundoff gradient part of u would double every step
-    new = _sym_grad_raw(r, _ifrk4(_leray_raw(r, uh), n1, stage, e_half, dt))
+    new = _sym_grad_raw(r, _ifrk4(_leray_raw(r, b.uh), n1, stage, e_half, dt))
     if not np.all(np.isfinite(new)):
         raise NonFiniteStateError(f"non-finite state after step at t={state.t + dt}")
     return StrainState(
@@ -335,7 +338,7 @@ def run(
     """
     p = state0.params
     state = state0
-    b = diag._Sample(state.S, p.equation)
+    b = diag._Sample(state.S)
     stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
 
     def emit(st: StrainState, derived: diag._Sample) -> diag.DiagnosticsRecord:
@@ -369,7 +372,7 @@ def run(
             outcome = "blowup_detected"
             break
         steps += 1
-        b = diag._Sample(state.S, p.equation)
+        b = diag._Sample(state.S)
         e_now, tail = _enstrophy_and_tail(state.S, derived=b)
         if not math.isfinite(e_now) or (E0 > 0 and e_now > 1e6 * E0):
             outcome = "blowup_detected"

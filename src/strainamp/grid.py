@@ -290,8 +290,10 @@ class GridSpec(_ModeSet):
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or not 8 <= self.n <= 4096:
             raise ValueError(f"n must be even with 8 <= n <= 4096, got {self.n}")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+        if not (np.isfinite(self.box_length) and self.box_length > 0):
+            raise ValueError(
+                f"box_length must be positive and finite, got {self.box_length}"
+            )
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"

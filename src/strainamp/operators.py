@@ -133,14 +133,13 @@ def _strain_residual_raw(grid: _ModeSet, sh: np.ndarray, uh: np.ndarray) -> floa
     return float(np.sqrt(_mode_sum(grid, d, d) / denom))
 
 
-def _velocity_checked_raw(grid: _ModeSet, sh: np.ndarray):
-    """(_velocity_raw, strain-space residual); ConstraintError above 1e-6 or
-    when the residual is NaN. u is formed once and also serves P_st S."""
-    uh = _velocity_raw(grid, sh)
+def _strain_checked_raw(grid: _ModeSet, sh: np.ndarray, uh: np.ndarray) -> float:
+    """The strain-space check: _strain_residual_raw of S from its velocity
+    uh, already formed; ConstraintError above 1e-6 or when it is NaN."""
     res = _strain_residual_raw(grid, sh, uh)
     if not res <= 1e-6:
         raise ConstraintError(f"strain-space residual {res:.3e} exceeds 1.0e-06")
-    return uh, res
+    return res
 
 
 # -- interconversion -------------------------------------------------------
@@ -187,7 +186,9 @@ def strain_of(u: VectorField) -> SymTensorField:
 def velocity_of(S: SymTensorField) -> VectorField:
     """Invert the strain: u = -2 div (-lap)^{-1} S, requiring S in the strain space."""
     sf = _as_spectral(S)
-    return VectorField(sf.grid, _velocity_checked_raw(sf.grid, sf.data)[0])
+    uh = _velocity_raw(sf.grid, sf.data)
+    _strain_checked_raw(sf.grid, sf.data, uh)
+    return VectorField(sf.grid, uh)
 
 
 def vorticity_of(u: VectorField) -> VectorField:

@@ -308,7 +308,7 @@ class TestCmdRun:
         )
         assert cli.main(["run", cfgfile]) == 2
         assert "non-finite payload sample" in capsys.readouterr().err
-        assert out.read_text() == ""
+        assert not out.exists()  # set-up failed before the output was opened
 
     def test_truncated_checkpoint_header_exit_2(self, tmp_path, capsys):
         from strainamp.dynamics import SimParams, make_state, write_checkpoint
@@ -326,7 +326,7 @@ class TestCmdRun:
         )
         assert cli.main(["run", cfgfile]) == 2
         assert "truncated checkpoint header" in capsys.readouterr().err
-        assert out.read_text() == ""
+        assert not out.exists()  # set-up failed before the output was opened
 
     def test_absurd_checkpoint_n_exit_2(self, tmp_path, capsys):
         import struct
@@ -342,7 +342,7 @@ class TestCmdRun:
         )
         assert cli.main(["run", cfgfile]) == 2
         assert "truncated checkpoint payload" in capsys.readouterr().err
-        assert out.read_text() == ""
+        assert not out.exists()  # set-up failed before the output was opened
 
     def test_oversized_n_exit_2(self, tmp_path, monkeypatch, capsys):
         def no_setup(*args):
@@ -350,12 +350,13 @@ class TestCmdRun:
 
         monkeypatch.setattr(cli, "initial_strain", no_setup)
         out = tmp_path / "out.jsonl"
+        out.write_text('{"t": 0.0}\n')  # a previous run's output keeps its bytes
         text = f"kind = colliding_jets\nequation = model\nn = 1000000\noutput_path = {out}\n"
         assert cli.main(["run", write_config(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert "n must be even with 8 <= n <= 4096, got 1000000" in err
         assert "Traceback" not in err
-        assert out.read_text() == ""
+        assert out.read_text() == '{"t": 0.0}\n'
 
 
 class TestCmdVerify:

@@ -305,10 +305,10 @@ class TestSampleFunctionals:
         g = GridSpec(16, 16.0)
         S = random_strain(g, 2)
         calls = []
-        orig = diag._velocity_checked_raw
+        orig = diag._strain_checked_raw
         monkeypatch.setattr(
             diag,
-            "_velocity_checked_raw",
+            "_strain_checked_raw",
             lambda *a, **k: calls.append(1) or orig(*a, **k),
         )
         diag.sample_functionals(S, 1.0, True)

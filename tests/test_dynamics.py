@@ -77,6 +77,23 @@ class TestResidualChecks:
         step(st, 1e-3)
         assert len(seen) == calls
 
+    def test_cfl_dt_leaves_the_check_to_step(self, monkeypatch):
+        # on a state without a sample, cfl_dt's |u|_inf forms u unchecked and
+        # the full-strain step runs the one check on that same u
+        from strainamp import operators
+
+        st = random_state(GridSpec(16, 16.0), 3, equation="full_strain")
+        seen = []
+        orig = operators._strain_residual_raw
+        monkeypatch.setattr(
+            operators, "_strain_residual_raw", lambda *a: seen.append(1) or orig(*a)
+        )
+        b = diag._Sample(st.S)
+        cfl_dt(st, derived=b)
+        assert seen == []
+        step(st, 1e-3, derived=b)
+        assert len(seen) == 1
+
 
 class TestLambForm:
     # full_rhs's nonlinearity -sym grad P_df(omega x u) against the triple
@@ -203,8 +220,9 @@ class TestStep:
     def test_rejects_oversized_dt(self):
         g = GridSpec(16, 16.0)
         st = random_state(g, 4)
-        with pytest.raises(ValueError):
-            step(st, 1.0)
+        for dt in (1.0, math.nan):
+            with pytest.raises(ValueError):
+                step(st, dt)
 
     def test_linear_only_matches_heat_semigroup(self, monkeypatch):
         # disable the nonlinearity: the integrating factor is then exact
@@ -507,23 +525,46 @@ class TestSharedDerivedFields:
         assert report.t_outcome == end.t
         assert (report.f0, report.g0, report.r0) == (f0, f0 / E0**1.5, f0 / (2.0 * E0))
 
-    @pytest.mark.parametrize("via", ["cfl_dt", "sample"])
-    def test_velocity_stage_one_takes_kept_samples(self, fft_counts, via):
-        # the real u that cfl_dt or the sample made is held until the first
-        # stage takes it (3 fewer inverse transforms), then dropped
-        st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation="velocity_ns")
+    @staticmethod
+    def _kept_samples_step(fft_counts, equation, via):
+        # whatever the equation, the real u that cfl_dt or the sample made is
+        # held until the step takes it, then dropped; returns the step's
+        # (fwd, inv) component transforms
+        st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation=equation)
         alone = step(st, 1e-3)
-        b = diag._Sample(st.S, "velocity_ns")
+        b = diag._Sample(st.S)
         if via == "cfl_dt":
             cfl_dt(st, derived=b)
         else:
             diag.sample_functionals(st.S, 1.0, False, derived=b)
-        assert b._u_re is not None
+        assert "u_re" in vars(b)
         fft_counts.update(fwd=0, inv=0)
         shared = step(st, 1e-3, derived=b)
-        assert fft_counts == {"fwd": 24, "inv": 9}
-        assert b._u_re is None
+        assert "u_re" not in vars(b)
         assert shared.S.data.tobytes() == alone.S.data.tobytes()
+        return fft_counts["fwd"], fft_counts["inv"]
+
+    @pytest.mark.parametrize("via", ["cfl_dt", "sample"])
+    def test_velocity_stage_one_takes_kept_samples(self, fft_counts, via):
+        # stage 1 of velocity_ns runs on the held u, 3 inverse transforms
+        # fewer than a step alone
+        assert self._kept_samples_step(fft_counts, "velocity_ns", via) == (24, 9)
+
+    @pytest.mark.parametrize(
+        "equation, via, fwd, inv",
+        [
+            ("model", "cfl_dt", 24, 18),
+            ("model", "sample", 18, 18),
+            ("full_strain", "cfl_dt", 12, 21),
+            ("full_strain", "sample", 9, 18),
+        ],
+    )
+    def test_strain_stage_one_takes_kept_samples(
+        self, fft_counts, equation, via, fwd, inv
+    ):
+        # the sample has made stage 1's S^2 and its Lamb term (from omega's
+        # samples), which the step makes after cfl_dt
+        assert self._kept_samples_step(fft_counts, equation, via) == (fwd, inv)
 
     # a run of 5 steps with a record after each (6 samples), counted in
     # component transforms and strain-space residual checks; a velocity_ns

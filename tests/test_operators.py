@@ -494,14 +494,14 @@ class TestResidualHelpers:
 
     @pytest.mark.parametrize("box", [False, True], ids=["full", "box"])
     def test_velocity_checked_forms_u_once(self, box):
-        # u serves both the return value and P_st S inside the residual: the
-        # same bytes as the residual through P_st followed by a second u
+        # the check takes the u its caller already formed from S, so u is
+        # formed once: the same residual as through P_st S with a u of its own
         from strainamp.fields import _mode_sum
         from strainamp.operators import (
             _div_sym_raw,
             _leray_raw,
+            _strain_checked_raw,
             _sym_grad_raw,
-            _velocity_checked_raw,
             _velocity_raw,
         )
 
@@ -514,22 +514,21 @@ class TestResidualHelpers:
         wh = -2.0 * lay.inv_kd2 * _div_sym_raw(lay, sh)
         d = _sym_grad_raw(lay, _leray_raw(lay, wh)) - sh
         res = float(np.sqrt(_mode_sum(lay, d, d) / _mode_sum(lay, sh, sh)))
-        uh, got = _velocity_checked_raw(lay, sh)
-        assert uh.tobytes() == _velocity_raw(lay, sh).tobytes()
-        assert got == res
+        assert _strain_checked_raw(lay, sh, _velocity_raw(lay, sh)) == res
 
     @pytest.mark.parametrize("scale, raises", [(0.5, False), (2.0, True)])
     def test_velocity_checked_tolerance(self, scale, raises):
         # a Hessian part of relative size scale * 1e-6 leaves a residual of
         # about that size, against the 1e-6 tolerance
-        from strainamp.operators import _velocity_checked_raw
+        from strainamp.operators import _strain_checked_raw, _velocity_raw
 
         g = GridSpec(16, 16.0)
         S, h = random_strain(g, 20), hessian_probe(g, "hessian")
         eps = scale * 1e-6 * np.sqrt(l2_norm_sq(S) / l2_norm_sq(h))
         sh = S.data + eps * h.data
+        uh = _velocity_raw(g, sh)
         if raises:
             with pytest.raises(ConstraintError, match="exceeds 1.0e-06"):
-                _velocity_checked_raw(g, sh)
+                _strain_checked_raw(g, sh, uh)
         else:
-            assert _velocity_checked_raw(g, sh)[1] < 1e-6
+            assert _strain_checked_raw(g, sh, uh) < 1e-6

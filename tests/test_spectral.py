@@ -33,8 +33,9 @@ class TestGridSpec:
             GridSpec(6, 2 * np.pi)
         with pytest.raises(ValueError, match="n must be even"):
             GridSpec(4098, 16.0)
-        with pytest.raises(ValueError):
-            GridSpec(16, -1.0)
+        for bad in (-1.0, np.inf):
+            with pytest.raises(ValueError, match="box_length"):
+                GridSpec(16, bad)
         with pytest.raises(ValueError):
             GridSpec(16, 2 * np.pi, 1.5)
 
