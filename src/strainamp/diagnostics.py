@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SYM_PAIRS, SYM_WEIGHTS, SymTensorField, _mode_sum
-from .grid import _ModeSet, _irfft_full, _slabs, irfft_retained_raw
+from .grid import GridSpec, _ModeSet, _irfft_full, _slabs, irfft_retained_raw
 from .operators import (
     _as_real,
     _as_spectral,
@@ -75,9 +75,9 @@ def p_exponent(q: float) -> float:
 
 # -- Sobolev norms -----------------------------------------------------------
 #
-# Spectral sums run on the retained box when the field is dealiased (every
-# state make_state, step and read_checkpoint produce), since it is exactly
-# zero outside it, and on the full r2c layout otherwise.
+# Spectral sums run on the retained box when the field is dealiased (a
+# state's S always is), since it is exactly zero outside it, and on the full
+# r2c layout otherwise.
 
 
 def _layout(f):
@@ -177,18 +177,21 @@ def r0_of(S: SymTensorField, nu: float) -> float:
 # -- middle-eigenvalue norms ---------------------------------------------------
 
 
-_FINITE_Q = tuple(q for q in Q_VALUES if math.isfinite(q))
+_FINITE_Q = Q_VALUES[:3]  # the finite q, in the order _eigen_slab writes their powers
 
 
 def _eigen_slab(out: np.ndarray, s: np.ndarray) -> None:
-    """lambda2+, det S, tr S^3 and lambda2+ ** q for each finite q in Q_VALUES.
+    """lambda2+, det S, tr S^3 and lambda2+ ** q for each finite q in Q_VALUES
+    (3/2, 2, 3), the powers as products and one sqrt: libm pow costs several
+    times as much.
 
     lambda2 is the closed form's middle root alone (operators._eig3_middle),
     the same bits as lambda_fields' lambda2."""
     l2p = np.maximum(0.0, _eig3_middle(*_eig3_trig(s)), out=out[0])
     out[1], out[2] = _det_raw(s), _tr3_raw(s)
-    for o, qe in zip(out[3:], _FINITE_Q):
-        np.power(l2p, qe, out=o)
+    np.multiply(l2p, np.sqrt(l2p), out=out[3])
+    np.multiply(l2p, l2p, out=out[4])
+    np.multiply(out[4], l2p, out=out[5])
 
 
 def _eigen_pass(s_re: np.ndarray, vol: float) -> tuple[dict[float, float], float, float]:
@@ -216,12 +219,15 @@ def lambda_lq_norms(S: SymTensorField) -> dict[float, float]:
 class _Sample:
     """Fields derived from one strain state, built once for dynamics.cfl_dt,
     dynamics.step, dynamics.write_checkpoint and sample_functionals. On
-    `lay`, the retained box when S is dealiased and the full layout
-    otherwise (see _layout, the one scan of S for modes outside the box): S
-    (`sh`), then on first use S's real samples (`s_re`), u (`uh`), its
-    strain-space check (`res_constraint`: omega and the isometry wait for
-    it, |u|_inf does not), u's real samples (`u_re`), |u|_inf, |S|_inf, the
-    norms of S (hs), and on the box the Lamb term P_df(omega x u) and S^2.
+    `lay`: S (`sh`) and u (`uh`), then on first use S's real samples
+    (`s_re`), u's strain-space check (`res_constraint`: omega and the
+    isometry wait for it, |u|_inf does not), u's real samples (`u_re`),
+    |u|_inf, |S|_inf, the norms of S (hs), and on the box the Lamb term
+    P_df(omega x u) and S^2. A run's bundle is of_velocity's: the state's
+    u, taken as given, and S = sym grad u on the retained box. _Sample(S)
+    serves any S: one scan for modes outside the box (see _layout) picks
+    the box or the full layout, and u = -2 div (-lap)^{-1} S is recovered
+    on first use.
     The bundle holds no reference to S itself, so what it derives is freed
     with it. One rule holds for u whatever the equation: its real samples
     are made once, by the first reader (|u|_inf or the Lamb term), and held
@@ -234,6 +240,15 @@ class _Sample:
         if not S.spectral:  # its samples are its data, as S.real_samples() gives
             self.s_re = S.data
         self._hs: dict[float, float] = {}
+
+    @classmethod
+    def of_velocity(cls, g: GridSpec, uh: np.ndarray) -> "_Sample":
+        """The bundle of S = sym grad u for u on g's retained box, a state's
+        u: no scan, and u is not recovered from S."""
+        b = cls.__new__(cls)
+        b.g, b.lay, b.uh, b._hs = g, g.retained, uh, {}
+        b.sh = _sym_grad_raw(b.lay, uh)
+        return b
 
     @cached_property
     def uh(self) -> np.ndarray:
@@ -544,18 +559,17 @@ class DiagnosticsRecord:
         return {k: vals[k] for k in RECORD_KEYS if vals.get(k) is not None}
 
 
-def sample_functionals(
-    S: SymTensorField, nu: float, with_ratio: bool, *, derived: _Sample | None = None
-) -> dict:
-    """Instantaneous functionals used by the run loop to assemble records.
+def sample_functionals(S: SymTensorField | _Sample, nu: float, with_ratio: bool) -> dict:
+    """Instantaneous functionals of S, as a record holds them.
 
-    `derived` is S's _Sample when the caller shares it (dynamics.run does);
-    the results are the same bits without it. One eigenvalue pass gives the
-    lambda2+ norms, int det(S) and int tr(S^3). u is formed once and passes
-    one strain-space check, whose value ||P_st S - S|| / ||S|| is
-    res_constraint. E, K and H1 also serve the isometry check, and res_orth
-    and the ratio share the Lamb term and S^2."""
-    b = _Sample(S) if derived is None else derived
+    S may come as its _Sample, whose derived fields are then shared:
+    dynamics.run passes each state's _Sample.of_velocity bundle through this
+    entry point. One eigenvalue pass gives the lambda2+ norms, int det(S) and
+    int tr(S^3). u is formed once and passes one strain-space check, whose
+    value ||P_st S - S|| / ||S|| is res_constraint. E, K and H1 also serve
+    the isometry check, and res_orth and the ratio share the Lamb term and
+    S^2."""
+    b = S if isinstance(S, _Sample) else _Sample(S)
     # the eigenvalue pass first, while no real u or omega is held (run
     # samples a state before its cfl_dt)
     lam2_norms, det, tr3 = _eigen_pass(b.s_re, b.g.cell_volume)
@@ -598,10 +612,9 @@ class _RecordStream:
         self.prev: tuple[float, dict[float, float]] | None = None
         self.rows: list[tuple[float, float, float, float]] = []
 
-    def record(
-        self, S: SymTensorField, t: float, *, derived: _Sample | None = None
-    ) -> DiagnosticsRecord:
-        vals = sample_functionals(S, self.nu, self.with_ratio, derived=derived)
+    def record(self, b: _Sample, t: float) -> DiagnosticsRecord:
+        """The record of the bundle's S at time t."""
+        vals = sample_functionals(b, self.nu, self.with_ratio)
         norms = vals["lam2_norms"]
         for q in Q_VALUES:
             pexp = p_exponent(q)

@@ -3,22 +3,18 @@
 The linear diffusion is applied exactly through the heat multiplier; the
 nonlinearity is advanced with classical four-stage Runge-Kutta on the
 integrating-factor variable, giving O(dt^5) local error. The strain space
-is {sym grad u : div u = 0} and the scheme commutes with sym grad, so every
-equation is stepped in velocity variables: `step` advances u (3 components,
-not 6) and returns S = sym grad u, in the strain space by construction, not
-by re-projection (the records monitor it as res_constraint). Stage 1 runs
-on the state's own u = -2 div (-lap)^{-1} S, as cfl_dt and the diagnostics
-sample do, so run shares them through the state's diagnostics._Sample: its
-one set of u's real samples gives |u|_inf and the Lamb term, and is held
-until `step` takes it, whatever the equation (velocity_ns runs stage 1 on
-it); the RK variable is the Leray projection of u.
-
-A state is dealiased (make_state and read_checkpoint ensure it), and every
-right-hand side is dealiased, so a step never leaves the 2/3-rule box of
-retained modes. `step` therefore packs the state once into that dense box
-(GridSpec.retained, about a quarter of the r2c layout), runs the stages
-there, and scatters to the full layout only for inverse transforms and for
-the result.
+is {sym grad u : div u = 0}, isometric to the divergence-free u, and the
+scheme commutes with sym grad, so a state is its velocity: StrainState
+holds u on the 2/3-rule box of retained modes (GridSpec.retained, about a
+quarter of the r2c layout), and S = sym grad u is derived on demand.
+make_state is the one way in from a strain S; `step` advances u for every
+equation and returns the RK result as the next state's u. Every stage
+nonlinearity is dealiased and Leray-projected, so u stays on the box and
+divergence free to roundoff with no projection per step (the records
+monitor it as res_constraint). Stage 1, cfl_dt and the diagnostics sample
+share the state's diagnostics._Sample: its one set of u's real samples
+gives |u|_inf and the Lamb term, and is held until `step` takes it,
+whatever the equation (velocity_ns runs stage 1 on it).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from .operators import (
     _lamb_box,
     _leray_raw,
     _s_squared_box,
-    _strain_project_raw,
+    _strain_velocity_raw,
     _sym_grad_raw,
     _sym_outer_box,
     _velocity_raw,
@@ -113,13 +109,30 @@ class SimParams:
             raise ValueError("output_every must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrainState:
-    """Spectral strain tensor plus simulation time and run parameters."""
+    """A strain state as its velocity: u's coefficients `uh` on the grid's
+    retained box, divergence free, plus simulation time and run parameters.
+    S = sym grad u is derived on each access, not held."""
 
-    S: SymTensorField
+    grid: GridSpec
+    uh: np.ndarray
     t: float
     params: SimParams
+
+    def __post_init__(self) -> None:
+        want = (3,) + self.grid.retained.shape
+        if self.uh.shape != want or self.uh.dtype != np.complex128:
+            raise ValueError(
+                f"a state holds u on the dealiased box, complex {want}, not "
+                f"{self.uh.dtype} {self.uh.shape}: build the state with make_state"
+            )
+
+    @property
+    def S(self) -> SymTensorField:
+        """sym grad u on the full layout, zero outside the box."""
+        r = self.grid.retained
+        return SymTensorField(self.grid, r.unpack(_sym_grad_raw(r, self.uh)))
 
 
 @dataclass(frozen=True)
@@ -152,11 +165,12 @@ class BlowupReport:
 
 
 def make_state(S: SymTensorField, t: float, params: SimParams) -> StrainState:
-    """S as a state on the strain space: a run's one projection, P_st on the
-    retained box (so dealiased), bit for bit dealias(strain_project(S))."""
+    """S as a state on the strain space: a run's one projection, u =
+    P_df(-2 div (-lap)^{-1} S) on the retained box (so dealiased), whose
+    state.S is bit for bit dealias(strain_project(S))."""
     r = S.grid.retained
-    sh = r.unpack(_strain_project_raw(r, r.pack(_as_spectral(S).data)))
-    return StrainState(S=SymTensorField(S.grid, sh), t=t, params=params)
+    uh = _strain_velocity_raw(r, r.pack(_as_spectral(S).data))
+    return StrainState(S.grid, uh, t, params)
 
 
 # -- right-hand sides ---------------------------------------------------------
@@ -170,7 +184,7 @@ def _model_stage(g: GridSpec, s2: np.ndarray) -> np.ndarray:
     """(4/3) P_df (-lap)^{-1} div(S^2) on the retained box, from S^2 on it:
     -2/3 P_st(S^2) without its outer sym grad."""
     r = g.retained
-    return -(2.0 / 3.0) * _leray_raw(r, _velocity_raw(r, s2))
+    return -(2.0 / 3.0) * _strain_velocity_raw(r, s2)
 
 
 def _full_stage(g: GridSpec, uh: np.ndarray) -> np.ndarray:
@@ -239,29 +253,22 @@ def _ifrk4(
 def step(
     state: StrainState, dt: float, *, derived: diag._Sample | None = None
 ) -> StrainState:
-    """Advance one step of size dt in velocity variables; for full_strain, u
-    passes the strain-space residual check (ConstraintError) once per step.
-    Raises NonFiniteStateError on overflow. The first stage runs on the
-    state's own u from `derived`, the state's diagnostics._Sample, built here
-    when not given: the model's on its S^2, full_strain's on its Lamb term
-    and velocity_ns's on u's real samples. Whatever the equation, the step
-    takes those samples from the bundle, so they are held no longer.
-
-    The state must be dealiased (as make_state, step and read_checkpoint
-    leave it): the stages run on the retained box only, so a state with
-    content outside it is refused with ValueError rather than truncated.
+    """Advance the state's u one step of size dt on the retained box and
+    return the RK result as the next state's u; for full_strain, u passes
+    the strain-space residual check (ConstraintError) once per step. Raises
+    NonFiniteStateError on overflow. The first stage runs on `derived`, the
+    state's diagnostics._Sample (of_velocity's, built here when not given):
+    the model's on its S^2, full_strain's on its Lamb term and velocity_ns's
+    on u's real samples. Whatever the equation, the step takes those samples
+    from the bundle, so they are held no longer.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if dt > state.params.dt_max:
         raise ValueError(f"dt {dt} exceeds dt_max {state.params.dt_max}")
-    g = state.S.grid
+    g = state.grid
     r = g.retained
-    b = diag._Sample(state.S) if derived is None else derived
-    if b.lay is not r:
-        raise ValueError(
-            "state has modes outside the dealiased box; build the state with make_state"
-        )
+    b = diag._Sample.of_velocity(g, state.uh) if derived is None else derived
     e_half = np.exp(-(state.params.nu * dt / 2.0) * r.k2)
     eq = state.params.equation
 
@@ -277,14 +284,10 @@ def step(
         stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
         n1 = _velocity_stage(g, b.u_re)
     b.take_real_u()
-    # -2 div (-lap)^{-1} sym grad u = u + grad (-lap)^{-1}(-div u): unprojected,
-    # the roundoff gradient part of u would double every step
-    new = _sym_grad_raw(r, _ifrk4(_leray_raw(r, b.uh), n1, stage, e_half, dt))
+    new = _ifrk4(state.uh, n1, stage, e_half, dt)
     if not np.all(np.isfinite(new)):
         raise NonFiniteStateError(f"non-finite state after step at t={state.t + dt}")
-    return StrainState(
-        S=SymTensorField(g, r.unpack(new)), t=state.t + dt, params=state.params
-    )
+    return StrainState(g, new, state.t + dt, state.params)
 
 
 def cfl_dt(state: StrainState, *, derived: diag._Sample | None = None) -> float:
@@ -292,7 +295,7 @@ def cfl_dt(state: StrainState, *, derived: diag._Sample | None = None) -> float:
 
     `derived` is the state's diagnostics._Sample, as for step."""
     p = state.params
-    b = diag._Sample(state.S) if derived is None else derived
+    b = diag._Sample.of_velocity(state.grid, state.uh) if derived is None else derived
     return min(
         p.dt_max,
         p.cfl * b.g.dx / max(1.0, b.u_inf),
@@ -300,11 +303,9 @@ def cfl_dt(state: StrainState, *, derived: diag._Sample | None = None) -> float:
     )
 
 
-def _enstrophy_and_tail(
-    S: SymTensorField, *, derived: diag._Sample | None = None
-) -> tuple[float, float]:
-    """Total enstrophy and the fraction held in the top 1/8 of retained shells."""
-    b = diag._Sample(S) if derived is None else derived
+def _enstrophy_and_tail(b: diag._Sample) -> tuple[float, float]:
+    """Total enstrophy of the bundle's S and the fraction held in the top 1/8
+    of retained shells."""
     total = b.hs(0.0)
     if total == 0.0:
         return 0.0, 0.0
@@ -338,11 +339,11 @@ def run(
     """
     p = state0.params
     state = state0
-    b = diag._Sample(state.S)
+    b = diag._Sample.of_velocity(state.grid, state.uh)
     stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
 
     def emit(st: StrainState, derived: diag._Sample) -> diag.DiagnosticsRecord:
-        rec = stream.record(st.S, st.t, derived=derived)
+        rec = stream.record(derived, st.t)
         if sink is not None:
             sink(rec)
         return rec
@@ -372,8 +373,8 @@ def run(
             outcome = "blowup_detected"
             break
         steps += 1
-        b = diag._Sample(state.S)
-        e_now, tail = _enstrophy_and_tail(state.S, derived=b)
+        b = diag._Sample.of_velocity(state.grid, state.uh)
+        e_now, tail = _enstrophy_and_tail(b)
         if not math.isfinite(e_now) or (E0 > 0 and e_now > 1e6 * E0):
             outcome = "blowup_detected"
             break
@@ -416,8 +417,8 @@ def write_checkpoint(
     fails midway leaves the previous checkpoint intact. `derived` is the
     state's diagnostics._Sample, as for step; the bytes are the same without
     it."""
-    g = state.S.grid
-    s_re = state.S.real_samples() if derived is None else derived.s_re
+    g = state.grid
+    s_re = (diag._Sample.of_velocity(g, state.uh) if derived is None else derived).s_re
     # (component, z, y, x) in C order, x fastest: one copy (astype copies
     # only on a big-endian host)
     payload = g.to_monotone(s_re.transpose(0, 3, 2, 1))
@@ -438,7 +439,11 @@ def write_checkpoint(
 
 def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainState:
     """Read a checkpoint, with the nu and equation it stores, straight onto the
-    retained box: dealiased (step accepts the restart), not projected."""
+    retained box: the state's u is -2 div (-lap)^{-1} S of the stored S,
+    dealiased, not projected. A stored state's S is sym grad of a divergence
+    free u, so the u read back is divergence free to roundoff; a restart
+    passes its S through make_state, the set-up's one projection, which
+    also takes any other S onto the strain space."""
     with open(path, "rb") as fh:
         magic = fh.read(6)
         if magic != _CHECKPOINT_MAGIC:
@@ -470,5 +475,5 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
     # each component is stored x fastest: (z, y, x) in C order; the gather
     # makes z fastest, so the forward transform's z-lines are contiguous
     data = grid.from_monotone(raw.reshape(6, n, n, n).transpose(0, 3, 2, 1))
-    S = SymTensorField(grid, grid.retained.unpack(rfft_retained_raw(grid, data)))
-    return StrainState(S, t, SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code]))
+    uh = _velocity_raw(grid.retained, rfft_retained_raw(grid, data))
+    return StrainState(grid, uh, t, SimParams(nu=nu, equation=_EQUATION_FROM_CODE[code]))

@@ -230,8 +230,8 @@ def initial_strain(grid: GridSpec, spec: InitSpec) -> SymTensorField:
     strain_of divergence gate (ConstraintError above 1e-8) and sym grad run,
     and unpacked once, with no full-layout transform: the jets give
     dealias(strain_of(colliding_jets(...))) bit for bit, random data the
-    values of strain_of(random_solenoidal(...)). A checkpoint is returned as
-    read_checkpoint reads it, which is already zero outside the box.
+    values of strain_of(random_solenoidal(...)). A checkpoint gives the S of
+    the state read_checkpoint reads, which is already zero outside the box.
 
     perturbed_family uses colliding jets as the base M and, as Q, the strain
     of a seeded random solenoidal field restricted to the highest shell band

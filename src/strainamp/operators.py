@@ -106,9 +106,14 @@ def _velocity_raw(grid: _ModeSet, sh: np.ndarray) -> np.ndarray:
     return -2.0 * grid.inv_kd2 * _div_sym_raw(grid, sh)
 
 
+def _strain_velocity_raw(grid: _ModeSet, mh: np.ndarray) -> np.ndarray:
+    """The divergence-free u with sym grad u = P_st M: P_df(-2 div (-lap)^{-1} M)."""
+    return _leray_raw(grid, _velocity_raw(grid, mh))
+
+
 def _strain_project_raw(grid: _ModeSet, mh: np.ndarray) -> np.ndarray:
     """P_st M = sym_grad(-2 (-lap)^{-1} P_df div M), all with kappa wavenumbers."""
-    return _sym_grad_raw(grid, _leray_raw(grid, _velocity_raw(grid, mh)))
+    return _sym_grad_raw(grid, _strain_velocity_raw(grid, mh))
 
 
 def _curl_raw(grid: _ModeSet, vh: np.ndarray) -> np.ndarray:

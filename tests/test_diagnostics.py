@@ -379,7 +379,10 @@ class TestRecordStream:
         g = GridSpec(16, 16.0)
         times = [0.0, 0.1, 0.25, 0.3, 0.5]
         stream = diag._RecordStream(nu=0.7, with_ratio=False)
-        recs = [stream.record(random_strain(g, s, 1.0 + s), t) for s, t in enumerate(times)]
+        recs = [
+            stream.record(diag._Sample(random_strain(g, s, 1.0 + s)), t)
+            for s, t in enumerate(times)
+        ]
         assert len(stream.rows) == 3
         assert "res_enstrophy" not in recs[1].residuals
         for i in range(2, len(recs)):

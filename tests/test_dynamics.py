@@ -25,7 +25,7 @@ from strainamp.dynamics import (
 from strainamp.fields import SymTensorField, VectorField, l2_inner, l2_norm_sq
 from strainamp.grid import GridSpec
 from strainamp.initdata import colliding_jets, random_solenoidal
-from strainamp.operators import strain_of, velocity_of, vorticity_of
+from strainamp.operators import _velocity_raw, strain_of, velocity_of, vorticity_of
 from strainamp.spectral import heat_semigroup, laplacian
 
 
@@ -211,8 +211,7 @@ class TestRhs:
 class TestStep:
     def test_zero_state_fixed(self):
         g = GridSpec(16, 16.0)
-        Z = SymTensorField(g, np.zeros((6,) + g.spectral_shape, dtype=complex))
-        st = StrainState(Z, 0.0, params())
+        st = StrainState(g, np.zeros((3,) + g.retained.shape, dtype=complex), 0.0, params())
         out = step(st, 1e-3)
         assert np.all(out.S.data == 0)
         assert out.t == pytest.approx(1e-3)
@@ -262,9 +261,9 @@ class TestStep:
 
     def test_nonfinite_reported(self):
         g = GridSpec(16, 16.0)
-        bad = np.zeros((6,) + g.spectral_shape, dtype=complex)
+        bad = np.zeros((3,) + g.retained.shape, dtype=complex)
         bad[0, 1, 0, 0] = np.inf
-        st = StrainState(SymTensorField(g, bad), 0.0, params())
+        st = StrainState(g, bad, 0.0, params())
         with pytest.raises(dynamics.NonFiniteStateError):
             step(st, 1e-3)
 
@@ -295,8 +294,7 @@ class TestEquivalenceOfFormulations:
 class TestCflDt:
     def test_zero_state_gives_dt_max(self):
         g = GridSpec(16, 16.0)
-        Z = SymTensorField(g, np.zeros((6,) + g.spectral_shape, dtype=complex))
-        st = StrainState(Z, 0.0, params())
+        st = StrainState(g, np.zeros((3,) + g.retained.shape, dtype=complex), 0.0, params())
         assert cfl_dt(st) == pytest.approx(1e-2)
 
     def test_amplitude_scaling(self):
@@ -480,13 +478,41 @@ class TestConstraintMonitor:
             st = step(st, 1e-3)
         assert strain_space_residual(st.S) <= 1e-12
 
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_carried_velocity_stays_divergence_free(self, equation):
+        # a state's u is the last step's RK result, never re-projected: its
+        # gradient part stays at roundoff over 60 steps of cfl_dt and step,
+        # and so does each state's record's res_constraint
+        from strainamp.fields import _mode_sum
+        from strainamp.operators import _leray_raw
+
+        g = GridSpec(32, 16.0)
+        r = g.retained
+        st = random_state(g, 22, amplitude=3.0, equation=equation, t_end=10.0)
+        stream = diag._RecordStream(st.params.nu, with_ratio=False)
+        for _ in range(60):
+            b = diag._Sample.of_velocity(g, st.uh)
+            rec = stream.record(b, st.t)
+            assert rec.residuals["res_constraint"] <= 1e-12, st.t
+            st = step(st, cfl_dt(st, derived=b), derived=b)
+            grad = st.uh - _leray_raw(r, st.uh)
+            assert _mode_sum(r, grad, grad) <= 1e-28 * _mode_sum(r, st.uh, st.uh), st.t
+
 
 def _hand_run(state, every):
     """run's loop through the public cfl_dt, step and _RecordStream.record
-    alone, so every state's derived fields are rebuilt by each call."""
+    alone, so every state's derived fields are rebuilt by each call. Also
+    returns the public sample_functionals of each recorded state's S."""
     p = state.params
-    stream = diag._RecordStream(p.nu, with_ratio=p.equation == "full_strain")
-    records = [stream.record(state.S, state.t)]
+    with_ratio = p.equation == "full_strain"
+    stream = diag._RecordStream(p.nu, with_ratio)
+    public = []
+
+    def record(st):
+        public.append(diag.sample_functionals(st.S, p.nu, with_ratio))
+        return stream.record(diag._Sample.of_velocity(st.grid, st.uh), st.t)
+
+    records = [record(state)]
     first_dt = LOCAL_EXISTENCE_COEFF / records[0].E ** 2
     steps = 0
     while state.t < p.t_end - 1e-15:
@@ -496,10 +522,10 @@ def _hand_run(state, every):
         state = step(state, min(dt, p.t_end - state.t))
         steps += 1
         if steps % every == 0:
-            records.append(stream.record(state.S, state.t))
+            records.append(record(state))
     if steps % every != 0:
-        records.append(stream.record(state.S, state.t))
-    return records, state
+        records.append(record(state))
+    return records, state, public
 
 
 class TestSharedDerivedFields:
@@ -516,10 +542,19 @@ class TestSharedDerivedFields:
         )
         records = []
         report = run(st, records.append)
-        want, end = _hand_run(st, every)
+        want, end, public = _hand_run(st, every)
         assert len(records) == len(want) == {1: 10, 3: 4}[every]
         assert records == want
         assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in want]
+        # a record samples the state's own u; the public sample recovers u
+        # from S: the same bits for what S alone gives, roundoff for the rest
+        for rec, vals in zip(records, public):
+            for key in ("E", "K", "H1", "detS", "trS3", "f", "g", "lam2_norms"):
+                assert getattr(rec, key) == vals[key], (rec.t, key)
+            if vals["ratio"] is not None:
+                assert rec.ratio == pytest.approx(vals["ratio"], rel=1e-13, abs=0.0)
+            for key in ("res_orth", "res_vortdet", "res_isometry", "res_constraint"):
+                assert abs(rec.residuals[key] - vals[key]) <= 1e-13, (rec.t, key)
         E0, f0 = want[0].E, want[0].f
         assert report.outcome == "resolved_to_t_end"
         assert report.t_outcome == end.t
@@ -532,16 +567,16 @@ class TestSharedDerivedFields:
         # (fwd, inv) component transforms
         st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation=equation)
         alone = step(st, 1e-3)
-        b = diag._Sample(st.S)
+        b = diag._Sample.of_velocity(st.grid, st.uh)
         if via == "cfl_dt":
             cfl_dt(st, derived=b)
         else:
-            diag.sample_functionals(st.S, 1.0, False, derived=b)
+            diag.sample_functionals(b, 1.0, False)
         assert "u_re" in vars(b)
         fft_counts.update(fwd=0, inv=0)
         shared = step(st, 1e-3, derived=b)
         assert "u_re" not in vars(b)
-        assert shared.S.data.tobytes() == alone.S.data.tobytes()
+        assert shared.uh.tobytes() == alone.uh.tobytes()
         return fft_counts["fwd"], fft_counts["inv"]
 
     @pytest.mark.parametrize("via", ["cfl_dt", "sample"])
@@ -615,8 +650,9 @@ class TestSharedDerivedFields:
         # the t = 0 sample (12), the step from the sampled state (18), then two
         # steps from states without a sample (30 each)
         assert fft_counts["inv"] == 12 + 18 + 30 + 30
-        # one u per stepped state, and the sample's P_st(S^2)
-        assert len(calls) == 3 + 1
+        # u is each state's own, never recovered from S: the one call is the
+        # sample's P_st(S^2)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
     def test_run_without_sink_takes_one_sample(self, monkeypatch, equation):
@@ -656,17 +692,17 @@ class TestRunLifetime:
     @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
     def test_nothing_derived_outlives_the_run(self, monkeypatch, equation):
         # with the cycle collector off, anything a reference cycle holds stays
-        # alive: every stepped state's S and every bundle must be freed by
+        # alive: every stepped state's u and every bundle must be freed by
         # reference counting alone once run returns
         import gc
         import weakref
 
         refs = []
-        orig_step, orig_sample = dynamics.step, diag._Sample
+        orig_step, orig_sample = dynamics.step, diag._Sample.of_velocity
 
         def stepped(*a, **k):
             st = orig_step(*a, **k)
-            refs.append(weakref.ref(st.S))
+            refs.append(weakref.ref(st.uh))
             return st
 
         def bundle(*a, **k):
@@ -675,7 +711,7 @@ class TestRunLifetime:
             return b
 
         monkeypatch.setattr(dynamics, "step", stepped)
-        monkeypatch.setattr(diag, "_Sample", bundle)
+        monkeypatch.setattr(diag._Sample, "of_velocity", staticmethod(bundle))
         st = random_state(
             GridSpec(16, 16.0), 8, slope=-8.0, equation=equation,
             t_end=5e-3, dt_max=1e-3, output_every=2,
@@ -709,7 +745,33 @@ class TestRunLifetime:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert left < 0.5 * 6 * g.n**3 * 8
+        assert left < st.uh.nbytes
+
+    # a run's traced peak in n^3 float64 at n = 32, with a record and a
+    # checkpoint after every step, pinned 10% above the measured 32.0
+    # (model), 29.1 (full_strain) and 29.1 (velocity_ns). States that held
+    # S on the full layout, with the next one unpacked beside it, read 39.0,
+    # 35.5 and 36.0.
+    @pytest.mark.parametrize(
+        "equation, pin", [("model", 35.2), ("full_strain", 32.0), ("velocity_ns", 32.0)]
+    )
+    def test_run_peak_memory(self, tmp_path, equation, pin):
+        import tracemalloc
+
+        g = GridSpec(32, 16.0)
+        p = params(equation=equation, t_end=3e-3, dt_max=1e-3, output_every=1)
+        S = strain_of(random_solenoidal(g, 8, slope=-8.0))
+        kw = dict(checkpoint_every=1, checkpoint_path=str(tmp_path / "c.bin"))
+        run(make_state(S, 0.0, p), [].append, **kw)  # fills the grid's own caches
+        st = make_state(S, 0.0, p)
+        tracemalloc.start()
+        try:
+            report = run(st, [].append, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.outcome == "resolved_to_t_end"
+        assert peak < pin * g.n**3 * 8
 
 
 class TestOneProjection:
@@ -742,12 +804,13 @@ class TestOneProjection:
         path = str(tmp_path / "state.ckpt")
         write_checkpoint(path, step(random_state(g, 19, amplitude=2.0), 1e-3))
         # the decode of the previous reader: one component at a time, then
-        # the full-layout transform, dealiased
+        # the full-layout transform, dealiased; the state's u is its velocity
         raw = np.fromfile(path, dtype="<f8", offset=39).reshape(6, n**3)
         data = np.stack([raw[c].reshape((n, n, n), order="F") for c in range(6)])
         want = dealias(forward_transform(SymTensorField(g, g.from_monotone(data))))
-        got = read_checkpoint(path, dealias_fraction=fraction).S
-        assert got.data.tobytes() == want.data.tobytes()
+        got = read_checkpoint(path, dealias_fraction=fraction)
+        r = g.retained
+        assert got.uh.tobytes() == _velocity_raw(r, r.pack(want.data)).tobytes()
 
     @pytest.mark.parametrize(
         "kind", ["colliding_jets", "random_solenoidal", "hessian_probe",
@@ -762,9 +825,9 @@ class TestOneProjection:
         write_checkpoint(path, random_state(GridSpec(16, 16.0), 20))
         calls = []
         for module in (operators, dynamics):
-            orig = module._strain_project_raw
+            orig = module._strain_velocity_raw
             monkeypatch.setattr(
-                module, "_strain_project_raw",
+                module, "_strain_velocity_raw",
                 lambda lay, mh, _f=orig: calls.append(
                     "box" if isinstance(lay, RetainedModes) else "full"
                 ) or _f(lay, mh),
@@ -846,9 +909,7 @@ class TestCheckpoint:
     def test_layout_header(self, tmp_path):
         g = GridSpec(16, 4.0)
         st = StrainState(
-            SymTensorField(g, np.zeros((6,) + g.spectral_shape, dtype=complex)),
-            0.25,
-            params("full_strain"),
+            g, np.zeros((3,) + g.retained.shape, dtype=complex), 0.25, params("full_strain")
         )
         path = str(tmp_path / "state.ckpt")
         write_checkpoint(path, st)

@@ -1,12 +1,13 @@
 """The retained-mode box, and the stepper and diagnostics sample that run on it.
 
 The stepper oracle below is the full-layout IF-RK4 step in velocity
-variables written out with the full-grid `_raw` helpers, mask-multiplied
-forward transforms and velocity_of; the box stepper must reproduce it bit
-for bit. A second reference advances S itself, with the stage and post-step
-strain projections the velocity form does without; the two schemes are the
-same up to roundoff. The sample oracle is the diagnostics sample written
-out on the full layout; the box sample must reproduce it to roundoff.
+variables written out with the full-grid `_raw` helpers and mask-multiplied
+forward transforms, carrying u on the full layout as a state carries it on
+the box; the box stepper must reproduce it bit for bit. A second reference
+advances S itself, with the stage and post-step strain projections the
+velocity form does without; the two schemes are the same up to roundoff.
+The sample oracle is the diagnostics sample written out on the full
+layout; the box sample must reproduce it to roundoff.
 """
 
 import math
@@ -93,11 +94,10 @@ def _ifrk4(xh, nonlin, n1, e_half, dt):
     return e_full * xh + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
-def _oracle_step(state, dt):
-    """One step in velocity variables: u = P_df(-2 div (-lap)^{-1} S), four
-    stages on u, S = sym grad u. The first stage runs on the state's own,
-    unprojected velocity (the model's on S's samples)."""
-    g, p = state.S.grid, state.params
+def _oracle_step(g, p, uh, dt):
+    """One step in velocity variables: four stages on the full-layout u,
+    returned as the next u. The first stage runs on u itself (the model's on
+    the samples of S = sym grad u)."""
 
     def model_of_samples(s_re):
         return -(2.0 / 3.0) * _leray_raw(g, _velocity_raw(g, _masked_rfft(g, _square(s_re))))
@@ -114,21 +114,15 @@ def _oracle_step(state, dt):
         th = _masked_rfft(g, np.stack([ur[i] * ur[j] for i, j in SYM_PAIRS]))
         return -_leray_raw(g, _div_sym_raw(g, th))
 
-    if p.equation == "full_strain":
-        uh = velocity_of(state.S).data
-    else:
-        uh = _velocity_raw(g, state.S.data)
     nonlin = {"model": model, "full_strain": full, "velocity_ns": velocity}[p.equation]
-    n1 = model_of_samples(state.S.real_samples()) if p.equation == "model" else nonlin(uh)
     e_half = np.exp(-(p.nu * dt / 2.0) * g.k2)
-    new = _ifrk4(_leray_raw(g, uh), nonlin, n1, e_half, dt)
-    return SymTensorField(g, _sym_grad_raw(g, new))
+    return _ifrk4(uh, nonlin, nonlin(uh), e_half, dt)
 
 
-def _strain_form_step(state, dt):
+def _strain_form_step(S, p, dt):
     """One step advancing S (u for velocity_ns), with the strain projection
     in every stage and after the step."""
-    g, p = state.S.grid, state.params
+    g = S.grid
 
     def model(S):
         return -(2.0 / 3.0) * _strain_project_raw(g, _masked_rfft(g, _square(S.real_samples())))
@@ -145,9 +139,9 @@ def _strain_form_step(state, dt):
 
     nonlin = {"model": model, "full_strain": full, "velocity_ns": velocity}[p.equation]
     if p.equation == "velocity_ns":
-        x0 = VectorField(g, _velocity_raw(g, state.S.data))
+        x0 = VectorField(g, _velocity_raw(g, S.data))
     else:
-        x0 = state.S
+        x0 = S
     make = type(x0)
     e_half = np.exp(-(p.nu * dt / 2.0) * g.k2)
     new = _ifrk4(x0.data, lambda x: nonlin(make(g, x)), nonlin(x0), e_half, dt)
@@ -163,11 +157,11 @@ class TestBoxStepperOracle:
         g = GridSpec(n, 16.0, fraction)
         S0 = strain_of(random_solenoidal(g, 7, amplitude=3.0))
         st = make_state(S0, 0.0, SimParams(nu=0.5, equation=equation))
-        ref = st.S
+        ref = g.retained.unpack(st.uh)
         for _ in range(3):
             st = step(st, 2e-3)
-            ref = _oracle_step(StrainState(ref, 0.0, st.params), 2e-3)
-            assert np.array_equal(st.S.data, ref.data)
+            ref = _oracle_step(g, st.params, ref, 2e-3)
+            assert np.array_equal(g.retained.unpack(st.uh), ref)
 
     @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
     @pytest.mark.parametrize("n, fraction", GRIDS)
@@ -178,7 +172,7 @@ class TestBoxStepperOracle:
         ref = st.S
         for _ in range(3):
             st = step(st, 2e-3)
-            ref = _strain_form_step(StrainState(ref, 0.0, st.params), 2e-3)
+            ref = _strain_form_step(ref, st.params, 2e-3)
             tol = 1e-13 * np.abs(ref.data).max()
             np.testing.assert_allclose(st.S.data, ref.data, rtol=0, atol=tol)
 
@@ -342,7 +336,7 @@ class TestRetainedModes:
 
         full, box = total(g, S.data), total(g.retained, g.retained.pack(S.data))
         assert abs(box - full) <= 1e-15 * full
-        e, _ = _enstrophy_and_tail(S)
+        e, _ = _enstrophy_and_tail(diag._Sample(S))
         assert abs(e - g.box_length**3 * full) <= 1e-15 * e
 
 
@@ -352,24 +346,23 @@ class TestRetainedModes:
 class TestOutsideBox:
     @pytest.mark.parametrize("index", [(6, 0, 0), (10, 0, 0), (0, 6, 0), (0, 0, 6), (8, 3, 8)])
     def test_step_refuses_mode_outside(self, index):
+        # a state holds u on the box alone: u with content outside it is
+        # refused when the state is built, so no step ever sees it
         g = GridSpec(16, 16.0)  # cutoff 5: the box keeps |m_i| <= 4
-        S = make_state(
-            strain_of(random_solenoidal(g, 2)), 0.0, SimParams(1.0, "full_strain")
-        ).S
-        data = S.data.copy()
+        p = SimParams(1.0, "full_strain")
+        data = g.retained.unpack(make_state(strain_of(random_solenoidal(g, 2)), 0.0, p).uh)
         data[(1,) + index] = 1e-3
-        st = StrainState(SymTensorField(g, data), 0.0, SimParams(1.0, "full_strain"))
-        with pytest.raises(ValueError, match="outside the dealiased box"):
-            step(st, 1e-3)
+        with pytest.raises(ValueError, match="on the dealiased box"):
+            StrainState(g, data, 0.0, p)
 
     def test_mode_at_cutoff_refused(self):
         g = GridSpec(16, 16.0)
         c = g.cutoff
-        data = np.zeros((6,) + g.spectral_shape, dtype=complex)
+        data = np.zeros((3,) + g.spectral_shape, dtype=complex)
         data[0, c, 0, 0] = data[0, g.n - c, 0, 0] = 1.0
-        st = StrainState(SymTensorField(g, data), 0.0, SimParams(1.0, "model"))
-        with pytest.raises(ValueError, match="build the state with make_state"):
-            step(st, 1e-3)
+        for bad in (data, data[..., :c], g.retained.pack(data).real):
+            with pytest.raises(ValueError, match="build the state with make_state"):
+                StrainState(g, bad, 0.0, SimParams(1.0, "model"))
 
     @pytest.mark.parametrize("fraction", [2 / 3, 1.0])
     def test_read_checkpoint_is_dealiased(self, tmp_path, fraction):
@@ -381,11 +374,19 @@ class TestOutsideBox:
         back = read_checkpoint(path, dealias_fraction=fraction)
         assert np.all(back.S.data[:, ~g.dealias_mask] == 0)
         assert g.retained.holds(back.S.data)
-        # make_state strips the same roundoff, so a restart is unchanged
-        undealiased = SymTensorField(g, rfft_raw(g, st.S.real_samples()))
-        assert np.array_equal(
-            make_state(back.S, back.t, p).S.data, make_state(undealiased, back.t, p).S.data
-        )
+        # the reader strips the roundoff outside the box, as make_state does:
+        # its u is the velocity of the packed, undealiased transform
+        r = g.retained
+        undealiased = rfft_raw(g, st.S.real_samples())
+        assert np.array_equal(back.uh, _velocity_raw(r, r.pack(undealiased)))
+        # a stored state's S is on the strain space, so that u is divergence
+        # free to roundoff, and the restart's projection of the read S moves
+        # it by roundoff alone from make_state of the stored samples
+        grad = back.uh - _leray_raw(r, back.uh)
+        assert np.sum(np.abs(grad) ** 2) <= 1e-28 * np.sum(np.abs(back.uh) ** 2)
+        want = make_state(SymTensorField(g, undealiased), back.t, p).uh
+        got = make_state(back.S, back.t, p).uh
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         step(back, 1e-3)
 
 
@@ -412,7 +413,7 @@ class TestOneHoldsScan:
         calls = self.count_holds(monkeypatch)
         b = diag._Sample(st.S)
         b.s_inf, b.s2
-        diag.sample_functionals(st.S, 1.0, True, derived=b)
+        diag.sample_functionals(b, 1.0, True)
         write_checkpoint(str(tmp_path / "c.bin"), st, derived=b)
         assert len(calls) == 1
         assert b.s_re.tobytes() == irfft_raw(g, st.S.data).tobytes()
@@ -425,7 +426,7 @@ class TestOneHoldsScan:
         assert not g.retained.holds(S.data)
         calls = self.count_holds(monkeypatch)
         b = diag._Sample(S)
-        diag.sample_functionals(S, 1.0, True, derived=b)
+        diag.sample_functionals(b, 1.0, True)
         assert len(calls) == 1
         assert b.lay is g
         assert b.s_re.tobytes() == irfft_raw(g, S.data).tobytes()
@@ -440,4 +441,4 @@ class TestOneHoldsScan:
         calls, records = self.count_holds(monkeypatch), []
         run(st, records.append, checkpoint_every=1, checkpoint_path=str(tmp_path / "c.bin"))
         assert records[-1].t == pytest.approx(4e-3)
-        assert len(calls) == 5  # the initial state and one per step
+        assert calls == []  # a state holds u on the box: nothing to scan

@@ -92,7 +92,7 @@ class TestSameBitsForAnySlabSize:
 
         def sample():
             b = diag._Sample(S)
-            vals = diag.sample_functionals(S, 1.0, True, derived=b)
+            vals = diag.sample_functionals(b, 1.0, True)
             return repr(sorted(vals.items())), repr((b.u_inf, b.s_inf))
 
         one, whole = under_budgets(monkeypatch, sample)
