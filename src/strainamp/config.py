@@ -110,6 +110,7 @@ def _parse_scalar(key: str, raw: str):
 
 def _split_lines(text: str) -> list[tuple[str, str]]:
     pairs = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -120,6 +121,11 @@ def _split_lines(text: str) -> list[tuple[str, str]]:
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key '{key}'")
+        if key in first_line:
+            raise ConfigError(
+                f"key '{key}' repeated: line {first_line[key]} and line {lineno}"
+            )
+        first_line[key] = lineno
         pairs.append((key, raw.strip()))
     return pairs
 

@@ -220,14 +220,15 @@ class _Sample:
     """Fields derived from one strain state, built once for dynamics.cfl_dt,
     dynamics.step, dynamics.write_checkpoint and sample_functionals. On
     `lay`: S (`sh`) and u (`uh`), then on first use S's real samples
-    (`s_re`), u's strain-space check (`res_constraint`: omega and the
-    isometry wait for it, |u|_inf does not), u's real samples (`u_re`),
-    |u|_inf, |S|_inf, the norms of S (hs), and on the box the Lamb term
-    P_df(omega x u) and S^2. A run's bundle is of_velocity's: the state's
-    u, taken as given, and S = sym grad u on the retained box. _Sample(S)
-    serves any S: one scan for modes outside the box (see _layout) picks
-    the box or the full layout, and u = -2 div (-lap)^{-1} S is recovered
-    on first use.
+    (`s_re`), u's strain-space check (`res_constraint`), u's real samples
+    (`u_re`), |u|_inf, |S|_inf, the norms of S (hs), and on the box the
+    Lamb term P_df(omega x u) and S^2. _Sample(S) serves any S: one scan
+    for modes outside the box (see _layout) picks the box or the full
+    layout, and its constructor recovers u = -2 div (-lap)^{-1} S and runs
+    the check (ConstraintError). A run's bundle is of_velocity's: a state's
+    or a stage's u, taken as given, and S = sym grad u on the box on first
+    use, checked only where res_constraint is read (a record, a full-strain
+    step), never by cfl_dt or an RK stage.
     The bundle holds no reference to S itself, so what it derives is freed
     with it. One rule holds for u whatever the equation: its real samples
     are made once, by the first reader (|u|_inf or the Lamb term), and held
@@ -240,15 +241,19 @@ class _Sample:
         if not S.spectral:  # its samples are its data, as S.real_samples() gives
             self.s_re = S.data
         self._hs: dict[float, float] = {}
+        self.res_constraint  # outside data is checked where it enters
 
     @classmethod
     def of_velocity(cls, g: GridSpec, uh: np.ndarray) -> "_Sample":
         """The bundle of S = sym grad u for u on g's retained box, a state's
-        u: no scan, and u is not recovered from S."""
+        or a stage's u: no scan, no check, and u is not recovered from S."""
         b = cls.__new__(cls)
         b.g, b.lay, b.uh, b._hs = g, g.retained, uh, {}
-        b.sh = _sym_grad_raw(b.lay, uh)
         return b
+
+    @cached_property
+    def sh(self) -> np.ndarray:
+        return _sym_grad_raw(self.lay, self.uh)
 
     @cached_property
     def uh(self) -> np.ndarray:
@@ -272,9 +277,7 @@ class _Sample:
         return self.__dict__.pop("u_re", None)
 
     def real_vorticity(self) -> np.ndarray:
-        """Real samples of omega, not held, made once u has passed the
-        strain-space check (ConstraintError); sets lamb from them and u_re."""
-        self.res_constraint
+        """Real samples of omega, not held; sets lamb from them and u_re."""
         w_re = self.real(_curl_raw(self.lay, self.uh))
         self.lamb = _lamb_box(self.g, self.u_re, w_re)
         return w_re
@@ -331,7 +334,6 @@ def _max_norm(v_re: np.ndarray) -> float:
 
 
 def _isometry(b: _Sample) -> float:
-    b.res_constraint  # the identities read u only after its strain-space check
     uh = b.uh
     wh = _curl_raw(b.lay, uh)
     worst = 0.0

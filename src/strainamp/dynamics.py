@@ -8,13 +8,13 @@ scheme commutes with sym grad, so a state is its velocity: StrainState
 holds u on the 2/3-rule box of retained modes (GridSpec.retained, about a
 quarter of the r2c layout), and S = sym grad u is derived on demand.
 make_state is the one way in from a strain S; `step` advances u for every
-equation and returns the RK result as the next state's u. Every stage
-nonlinearity is dealiased and Leray-projected, so u stays on the box and
-divergence free to roundoff with no projection per step (the records
-monitor it as res_constraint). Stage 1, cfl_dt and the diagnostics sample
-share the state's diagnostics._Sample: its one set of u's real samples
-gives |u|_inf and the Lamb term, and is held until `step` takes it,
-whatever the equation (velocity_ns runs stage 1 on it).
+equation and returns the RK result as the next state's u. The equations
+differ only in their nonlinearity, written once in _NONLIN, and every RK
+stage reads it from a diagnostics._Sample: stage 1 from the state's, which
+cfl_dt and the diagnostics sample share, stages 2-4 from their stage u's.
+Every stage nonlinearity is dealiased and Leray-projected, so u stays on
+the box and divergence free to roundoff with no projection per step (the
+records monitor it as res_constraint).
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ import numpy as np
 
 from . import diagnostics as diag
 from .fields import SymTensorField, VectorField, _mode_sum
-from .grid import GridSpec, irfft_retained_raw as _irfft_box, rfft_retained_raw
+from .grid import GridSpec, rfft_retained_raw
 from .operators import (
     _as_spectral,
-    _curl_raw,
     _div_sym_raw,
-    _lamb_box,
     _leray_raw,
     _s_squared_box,
     _strain_velocity_raw,
@@ -187,16 +185,18 @@ def _model_stage(g: GridSpec, s2: np.ndarray) -> np.ndarray:
     return -(2.0 / 3.0) * _strain_velocity_raw(r, s2)
 
 
-def _full_stage(g: GridSpec, uh: np.ndarray) -> np.ndarray:
-    """-P_df(omega x u) on the retained box, for u packed on it."""
-    r = g.retained
-    return -_lamb_box(g, _irfft_box(g, uh), _irfft_box(g, _curl_raw(r, uh)))
-
-
 def _velocity_stage(g: GridSpec, u_re: np.ndarray) -> np.ndarray:
     """-P_df div(u x u) on the retained box, from real samples of u."""
     r = g.retained
     return -_leray_raw(r, _div_sym_raw(r, _sym_outer_box(g, u_re)))
+
+
+# each equation's nonlinearity, read from a diagnostics._Sample
+_NONLIN: dict[str, Callable[[diag._Sample], np.ndarray]] = {
+    "model": lambda b: _model_stage(b.g, b.s2),
+    "full_strain": lambda b: -b.lamb,
+    "velocity_ns": lambda b: _velocity_stage(b.g, b.u_re),
+}
 
 
 def _strain_rhs(S: SymTensorField, nu: float, du: np.ndarray) -> SymTensorField:
@@ -217,7 +217,7 @@ def full_rhs(S: SymTensorField, nu: float) -> SymTensorField:
     through the strain-space residual check. The two forms agree to roundoff
     while 3 cutoff <= n + 2; on more aliased grids the rotational form is
     used."""
-    return _strain_rhs(S, nu, -diag._Sample(S).lamb)
+    return _strain_rhs(S, nu, _NONLIN["full_strain"](diag._Sample(S)))
 
 
 def velocity_rhs(u: VectorField, nu: float) -> VectorField:
@@ -256,34 +256,26 @@ def step(
     """Advance the state's u one step of size dt on the retained box and
     return the RK result as the next state's u; for full_strain, u passes
     the strain-space residual check (ConstraintError) once per step. Raises
-    NonFiniteStateError on overflow. The first stage runs on `derived`, the
-    state's diagnostics._Sample (of_velocity's, built here when not given):
-    the model's on its S^2, full_strain's on its Lamb term and velocity_ns's
-    on u's real samples. Whatever the equation, the step takes those samples
-    from the bundle, so they are held no longer.
+    NonFiniteStateError on overflow. Stage 1 reads the equation's _NONLIN
+    from `derived`, the state's diagnostics._Sample (of_velocity's, built
+    here when not given), and stages 2-4 from their stage u's unchecked
+    of_velocity bundle. The step takes u's real samples from `derived`, so
+    they are held no longer, whatever the equation.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if dt > state.params.dt_max:
         raise ValueError(f"dt {dt} exceeds dt_max {state.params.dt_max}")
     g = state.grid
-    r = g.retained
     b = diag._Sample.of_velocity(g, state.uh) if derived is None else derived
-    e_half = np.exp(-(state.params.nu * dt / 2.0) * r.k2)
+    e_half = np.exp(-(state.params.nu * dt / 2.0) * g.retained.k2)
     eq = state.params.equation
-
+    nonlin = _NONLIN[eq]
     if eq == "full_strain":
         b.res_constraint  # the step's one strain-space check
-        n1 = -b.lamb
-        stage = lambda x: _full_stage(g, x)
-    elif eq == "model":
-        n1 = _model_stage(g, b.s2)
-        s2_of = lambda x: _s_squared_box(g, _irfft_box(g, _sym_grad_raw(r, x)))
-        stage = lambda x: _model_stage(g, s2_of(x))
-    else:
-        stage = lambda x: _velocity_stage(g, _irfft_box(g, x))
-        n1 = _velocity_stage(g, b.u_re)
+    n1 = nonlin(b)
     b.take_real_u()
+    stage = lambda x: nonlin(diag._Sample.of_velocity(g, x))
     new = _ifrk4(state.uh, n1, stage, e_half, dt)
     if not np.all(np.isfinite(new)):
         raise NonFiniteStateError(f"non-finite state after step at t={state.t + dt}")
@@ -464,8 +456,13 @@ def read_checkpoint(path: str, dealias_fraction: float = 2.0 / 3.0) -> StrainSta
         count = 6 * n**3
         # checked before reading, so a header claiming a huge n in front of a
         # short payload allocates nothing
-        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * count:
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found < 8 * count:
             raise CheckpointError("truncated checkpoint payload")
+        if found > 8 * count:
+            raise CheckpointError(
+                f"checkpoint payload of {found} bytes, expected {8 * count} for n = {n}"
+            )
         raw = np.fromfile(fh, dtype="<f8", count=count)
     # min and max are NaN or infinite exactly when some sample is, and
     # allocate no mask the size of the payload

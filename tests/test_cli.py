@@ -70,6 +70,21 @@ class TestConfigParsing:
         assert ranges["amplitude"] == pytest.approx([1.0, 1.5, 2.0])
         assert ranges["nu"] == pytest.approx([0.5, 0.75, 1.0])
 
+    def test_repeated_key_named(self):
+        text = "kind = colliding_jets\nequation = model\nn = 32\n# again\nn = 64\n"
+        with pytest.raises(ConfigError, match="key 'n' repeated: line 3 and line 5"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match="key 'n' repeated: line 3 and line 5"):
+            parse_sweep_config(text)
+
+    @pytest.mark.parametrize(
+        "first, second", [("1:1:3", "2"), ("2", "1:1:3"), ("1:1:3", "1:1:3")]
+    )
+    def test_sweep_repeated_range_key_named(self, first, second):
+        text = f"kind = colliding_jets\nequation = model\nnu = {first}\nnu = {second}\n"
+        with pytest.raises(ConfigError, match="key 'nu' repeated: line 3 and line 4"):
+            parse_sweep_config(text)
+
     def test_sweep_range_on_wrong_key(self):
         with pytest.raises(ConfigError):
             parse_sweep_config("kind = colliding_jets\nequation = model\nn = 8:8:16\n")
@@ -344,6 +359,41 @@ class TestCmdRun:
         assert "truncated checkpoint payload" in capsys.readouterr().err
         assert not out.exists()  # set-up failed before the output was opened
 
+    @pytest.mark.parametrize("appended, header_n", [(1, 16), (0, 8)])
+    def test_oversized_checkpoint_payload_exit_2(
+        self, tmp_path, capsys, appended, header_n
+    ):
+        # one byte appended, or a 16^3 payload under a header claiming n = 8
+        import struct
+
+        from strainamp.dynamics import SimParams, make_state, write_checkpoint
+
+        g = GridSpec(16, 16.0)
+        ckpt = tmp_path / "long.ckpt"
+        write_checkpoint(str(ckpt), make_state(strain_of(colliding_jets(g, 1.0)), 0.0,
+                                               SimParams(1.0, "model")))
+        blob = bytearray(ckpt.read_bytes() + bytes(appended))
+        blob[6:14] = struct.pack("<Q", header_n)
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "out.jsonl"
+        cfgfile = write_config(
+            tmp_path,
+            f"kind = from_checkpoint\npath = {ckpt}\nequation = model\nn = 16\n"
+            f"output_path = {out}\n",
+        )
+        assert cli.main(["run", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert f"expected {48 * header_n**3} for n = {header_n}" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # set-up failed before the output was opened
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        text = "kind = colliding_jets\nequation = model\nn = 16\nn = 32\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'n' repeated: line 3 and line 4" in err
+        assert "Traceback" not in err
+
     def test_oversized_n_exit_2(self, tmp_path, monkeypatch, capsys):
         def no_setup(*args):
             raise AssertionError("initial data built for a rejected grid size")
@@ -446,6 +496,13 @@ class TestCmdSweep:
         outcomes = {float(r.split(",")[1]): r.split(",")[5] for r in rows}
         assert outcomes[0.25] == "blowup_detected"
         assert outcomes[1.0] == "resolved_to_t_end"
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        text = "kind = colliding_jets\nequation = model\nn = 16\nnu = 0.5:0.5:1\nnu = 1\n"
+        assert cli.main(["sweep", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'nu' repeated: line 4 and line 5" in err
+        assert "Traceback" not in err
 
     def test_malformed_range_exit_2(self, tmp_path, capsys):
         text = "kind = colliding_jets\nequation = model\namplitude = 1:2\n"

@@ -60,26 +60,37 @@ class TestTransformCounts:
 
 
 class TestResidualChecks:
-    # the velocity is recovered through the strain-space residual check
-    # once per step, not once per stage
-    @pytest.mark.parametrize("equation, calls", [("full_strain", 1), ("model", 0)])
+    # a state's u passes the strain-space residual check once per full-strain
+    # step, not once per stage: every stage reads an unchecked of_velocity
+    # bundle
+    @pytest.mark.parametrize(
+        "equation, calls", [("full_strain", 1), ("model", 0), ("velocity_ns", 0)]
+    )
     def test_one_check_per_step(self, monkeypatch, equation, calls):
         from strainamp import operators
 
         st = random_state(GridSpec(16, 16.0), 3, equation=equation)
-        seen = []
+        seen, bundles = [], []
         orig = operators._strain_residual_raw
         monkeypatch.setattr(
             operators,
             "_strain_residual_raw",
             lambda *a: seen.append(1) or orig(*a),
         )
-        step(st, 1e-3)
+        orig_bundle = diag._Sample.of_velocity
+        monkeypatch.setattr(
+            diag._Sample,
+            "of_velocity",
+            staticmethod(lambda g, uh: bundles.append(uh) or orig_bundle(g, uh)),
+        )
+        b = orig_bundle(st.grid, st.uh)
+        step(st, 1e-3, derived=b)
         assert len(seen) == calls
+        assert len(bundles) == 3  # one per stage after the first
 
     def test_cfl_dt_leaves_the_check_to_step(self, monkeypatch):
-        # on a state without a sample, cfl_dt's |u|_inf forms u unchecked and
-        # the full-strain step runs the one check on that same u
+        # on a run's bundle, cfl_dt's |u|_inf reads u unchecked and the
+        # full-strain step runs the one check on that same u
         from strainamp import operators
 
         st = random_state(GridSpec(16, 16.0), 3, equation="full_strain")
@@ -88,11 +99,42 @@ class TestResidualChecks:
         monkeypatch.setattr(
             operators, "_strain_residual_raw", lambda *a: seen.append(1) or orig(*a)
         )
-        b = diag._Sample(st.S)
+        b = diag._Sample.of_velocity(st.grid, st.uh)
         cfl_dt(st, derived=b)
         assert seen == []
         step(st, 1e-3, derived=b)
         assert len(seen) == 1
+
+    # S off the strain space: a Hessian is annihilated by P_st
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            diag._Sample,
+            diag.isometry_residual,
+            diag.orthogonality_residual,
+            diag.vortex_det_residual,
+            lambda S: diag.perturbative_ratio(S, 1.0),
+            lambda S: diag.sample_functionals(S, 1.0, True),
+            lambda S: full_rhs(S, 1.0),
+        ],
+        ids=[
+            "_Sample", "isometry_residual", "orthogonality_residual",
+            "vortex_det_residual", "perturbative_ratio", "sample_functionals",
+            "full_rhs",
+        ],
+    )
+    def test_outside_strain_is_refused(self, reader):
+        from strainamp.initdata import hessian_probe
+        from strainamp.operators import ConstraintError
+
+        with pytest.raises(ConstraintError):
+            reader(hessian_probe(GridSpec(16, 16.0)))
+
+    def test_model_rhs_takes_any_strain(self):
+        from strainamp.initdata import hessian_probe
+
+        S = hessian_probe(GridSpec(16, 16.0))
+        assert np.all(np.isfinite(model_rhs(S, 1.0).data))
 
 
 class TestLambForm:
@@ -719,7 +761,8 @@ class TestRunLifetime:
         gc.disable()
         try:
             run(st, [].append)
-            assert len(refs) == 11  # 5 stepped states, 6 bundles
+            # 5 stepped states, 6 state bundles and 3 stage bundles per step
+            assert len(refs) == 26
             assert [r() for r in refs if r() is not None] == []
         finally:
             gc.enable()
@@ -875,6 +918,28 @@ class TestCheckpoint:
         open(path, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
+
+    def test_longer_payload_refused(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(str(path), random_state(GridSpec(16, 16.0), 15))
+        path.write_bytes(path.read_bytes() + b"\0")
+        want = f"payload of {48 * 16**3 + 1} bytes, expected {48 * 16**3} for n = 16"
+        with pytest.raises(CheckpointError, match=want):
+            read_checkpoint(str(path))
+
+    def test_header_n_below_payload_refused(self, tmp_path):
+        # a 16^3 payload under a header claiming n = 8 is not read as the
+        # first 8^3 samples of each component
+        import struct
+
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(str(path), random_state(GridSpec(16, 16.0), 15))
+        blob = bytearray(path.read_bytes())
+        blob[6:14] = struct.pack("<Q", 8)
+        path.write_bytes(bytes(blob))
+        want = f"payload of {48 * 16**3} bytes, expected {48 * 8**3} for n = 8"
+        with pytest.raises(CheckpointError, match=want):
+            read_checkpoint(str(path))
 
     @pytest.mark.parametrize("length", [6, 20])
     def test_truncated_header(self, tmp_path, length):
