@@ -98,7 +98,7 @@ def cmd_sweep(args) -> int:
         try:
             cfg = RunConfig(**{**base.__dict__, "amplitude": m, "nu": nu})
             report = run(_build_state(cfg))
-        except ValueError as exc:  # ConfigError included: one bad point, not the sweep
+        except (ValueError, OSError) as exc:  # one bad point, not the sweep
             return m, nu, None, str(exc)
         return m, nu, report, None
 
@@ -146,6 +146,9 @@ def cmd_report(args) -> int:
             lines = fh.read().splitlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnicodeDecodeError as exc:  # a checkpoint, say
+        print(f"error: {args.file} is not a text file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     records = []

@@ -220,20 +220,19 @@ class _Sample:
     """Fields derived from one strain state, built once for dynamics.cfl_dt,
     dynamics.step, dynamics.write_checkpoint and sample_functionals. On
     `lay`: S (`sh`) and u (`uh`), then on first use S's real samples
-    (`s_re`), u's strain-space check (`res_constraint`), u's real samples
-    (`u_re`), |u|_inf, |S|_inf, the norms of S (hs), and on the box the
-    Lamb term P_df(omega x u) and S^2. _Sample(S) serves any S: one scan
-    for modes outside the box (see _layout) picks the box or the full
-    layout, and its constructor recovers u = -2 div (-lap)^{-1} S and runs
-    the check (ConstraintError). A run's bundle is of_velocity's: a state's
-    or a stage's u, taken as given, and S = sym grad u on the box on first
-    use, checked only where res_constraint is read (a record, a full-strain
-    step), never by cfl_dt or an RK stage.
+    (`s_re`), u's strain-space check (`res_constraint`), the real samples
+    of u and omega (`u_re`, `w_re`), |u|_inf, |S|_inf, the norms of S (hs),
+    and on the box the Lamb term P_df(omega x u) and S^2. _Sample(S) serves
+    any S: one scan for modes outside the box (see _layout) picks the box
+    or the full layout, and its constructor recovers u = -2 div (-lap)^{-1} S
+    and runs the check (ConstraintError). A run's bundle is of_velocity's: a
+    state's or a stage's u, taken as given, and S = sym grad u on the box on
+    first use, checked only where res_constraint is read (a record, a
+    full-strain step), never by cfl_dt or an RK stage.
     The bundle holds no reference to S itself, so what it derives is freed
-    with it. One rule holds for u whatever the equation: its real samples
-    are made once, by the first reader (|u|_inf or the Lamb term), and held
-    until dynamics.step takes them with take_real_u. Those of omega are
-    dropped by the call that makes them."""
+    with it. One rule holds for every derived array: its first reader makes
+    it, and the bundle holds it until dynamics.step consumes the bundle
+    after stage 1."""
 
     def __init__(self, S: SymTensorField) -> None:
         self.g = S.grid
@@ -271,21 +270,13 @@ class _Sample:
     def u_inf(self) -> float:
         return _max_norm(self.u_re)
 
-    def take_real_u(self) -> np.ndarray | None:
-        """u's real samples, which the bundle holds no longer (None if no
-        reader made them)."""
-        return self.__dict__.pop("u_re", None)
-
-    def real_vorticity(self) -> np.ndarray:
-        """Real samples of omega, not held; sets lamb from them and u_re."""
-        w_re = self.real(_curl_raw(self.lay, self.uh))
-        self.lamb = _lamb_box(self.g, self.u_re, w_re)
-        return w_re
+    @cached_property
+    def w_re(self) -> np.ndarray:
+        return self.real(_curl_raw(self.lay, self.uh))
 
     @cached_property
-    def lamb(self) -> np.ndarray:  # real_vorticity sets it
-        self.real_vorticity()
-        return self.lamb
+    def lamb(self) -> np.ndarray:
+        return _lamb_box(self.g, self.u_re, self.w_re)
 
     @cached_property
     def s_re(self) -> np.ndarray:
@@ -382,8 +373,8 @@ def orthogonality_residual(S: SymTensorField) -> float:
     return _orth_and_ratio(_Sample(S))[0]
 
 
-def _vortex_det(b: _Sample, wdat: np.ndarray, det: float) -> float:
-    s_re, vol, slabs = b.s_re, b.g.cell_volume, _slabs(b.g.n)
+def _vortex_det(b: _Sample, det: float) -> float:
+    s_re, wdat, vol, slabs = b.s_re, b.w_re, b.g.cell_volume, _slabs(b.g.n)
     term = np.empty_like(wdat[0])  # one integrand at a time, filled by slab
     pair = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):
@@ -403,7 +394,7 @@ def vortex_det_residual(S: SymTensorField) -> float:
     """|<S, omega x omega> + 4 int det(S)| scaled by ||S|| ||omega||^2_{L^4}."""
     b = _Sample(S)
     det = det_integral(SymTensorField(b.g, b.s_re))
-    return _vortex_det(b, b.real_vorticity(), det)
+    return _vortex_det(b, det)
 
 
 def perturbative_ratio(S: SymTensorField, nu: float) -> float:
@@ -575,7 +566,6 @@ def sample_functionals(S: SymTensorField | _Sample, nu: float, with_ratio: bool)
     # the eigenvalue pass first, while no real u or omega is held (run
     # samples a state before its cfl_dt)
     lam2_norms, det, tr3 = _eigen_pass(b.s_re, b.g.cell_volume)
-    w_re = b.real_vorticity()
     e = b.hs(0.0)
     h1 = b.hs(1.0)
     f = -3.0 * nu * h1 - 4.0 * det
@@ -592,7 +582,7 @@ def sample_functionals(S: SymTensorField | _Sample, nu: float, with_ratio: bool)
     vals["res_orth"], vals["ratio"] = _orth_and_ratio(
         b, nu if with_ratio and e > 0.0 else None
     )
-    vals["res_vortdet"] = _vortex_det(b, w_re, det)
+    vals["res_vortdet"] = _vortex_det(b, det)
     vals["res_isometry"] = _isometry(b)
     vals["res_constraint"] = b.res_constraint
     return vals

@@ -11,7 +11,8 @@ make_state is the one way in from a strain S; `step` advances u for every
 equation and returns the RK result as the next state's u. The equations
 differ only in their nonlinearity, written once in _NONLIN, and every RK
 stage reads it from a diagnostics._Sample: stage 1 from the state's, which
-cfl_dt and the diagnostics sample share, stages 2-4 from their stage u's.
+cfl_dt and the diagnostics sample share and which `step` consumes, stages
+2-4 from their stage u's.
 Every stage nonlinearity is dealiased and Leray-projected, so u stays on
 the box and divergence free to roundoff with no projection per step (the
 records monitor it as res_constraint).
@@ -259,8 +260,9 @@ def step(
     NonFiniteStateError on overflow. Stage 1 reads the equation's _NONLIN
     from `derived`, the state's diagnostics._Sample (of_velocity's, built
     here when not given), and stages 2-4 from their stage u's unchecked
-    of_velocity bundle. The step takes u's real samples from `derived`, so
-    they are held no longer, whatever the equation.
+    of_velocity bundle. The step consumes `derived`: once stage 1 has read
+    it, the bundle is emptied, so no array it derived is held through
+    stages 2-4 and it must not be read again.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -274,7 +276,7 @@ def step(
     if eq == "full_strain":
         b.res_constraint  # the step's one strain-space check
     n1 = nonlin(b)
-    b.take_real_u()
+    vars(b).clear()  # the bundle is consumed: nothing it derived outlives stage 1
     stage = lambda x: nonlin(diag._Sample.of_velocity(g, x))
     new = _ifrk4(state.uh, n1, stage, e_half, dt)
     if not np.all(np.isfinite(new)):
@@ -363,6 +365,7 @@ def run(
             state = step(state, dt, derived=b)
         except NonFiniteStateError:
             outcome = "blowup_detected"
+            b = diag._Sample.of_velocity(state.grid, state.uh)  # step consumed b
             break
         steps += 1
         b = diag._Sample.of_velocity(state.grid, state.uh)

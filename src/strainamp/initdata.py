@@ -56,8 +56,8 @@ class InitSpec:
             raise ValueError(f"unknown initial-data kind {self.kind!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
-        if self.kind == "perturbed_family" and self.lam < 1:
-            raise ValueError("lambda must be >= 1 for perturbed_family")
+        if self.kind == "perturbed_family":
+            _check_lambda(self.lam)
         if self.kind == "from_checkpoint" and not self.path:
             raise ValueError("from_checkpoint requires a path")
 
@@ -184,6 +184,11 @@ def _dilate_modes(grid: GridSpec, data: np.ndarray, lam: int) -> np.ndarray:
     return out * lam**-1.5
 
 
+def _check_lambda(lam: float) -> None:
+    if lam not in (1, 2, 4, 8):
+        raise ValueError(f"lambda must be one of 1, 2, 4, 8, got {lam}")
+
+
 def perturbed_family(
     M: SymTensorField, Q: SymTensorField, lam: int
 ) -> SymTensorField:
@@ -192,8 +197,7 @@ def perturbed_family(
     lam must be one of {1, 2, 4, 8} and small enough that Q's spectral
     support stays below the dealias cutoff after dilation.
     """
-    if lam not in (1, 2, 4, 8):
-        raise ValueError(f"lambda must be one of 1, 2, 4, 8, got {lam}")
+    _check_lambda(lam)
     mf = _as_spectral(M)
     qf = _as_spectral(Q)
     if mf.grid != qf.grid:

@@ -218,6 +218,17 @@ class TestCmdRun:
         assert rep["report"] is True
         assert rep["outcome"] == "resolved_to_t_end"
 
+    @pytest.mark.parametrize("raw", ["2.5", "3"])
+    def test_non_dyadic_lambda_exit_2(self, tmp_path, capsys, raw):
+        text = (
+            "kind = perturbed_family\nequation = model\nn = 16\nt_end = 0\n"
+            f"lambda = {raw}\n"
+        )
+        assert cli.main(["run", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: lambda must be one of 1, 2, 4, 8, got {float(raw)}" in err
+        assert "Traceback" not in err
+
     def test_malformed_key_exit_2(self, tmp_path, capsys):
         cfgfile = write_config(
             tmp_path, "kind = colliding_jets\nequation = model\nvicosity = 1\n"
@@ -552,8 +563,42 @@ class TestCmdSweep:
         assert rows[1].split(",")[5] == "resolved_to_t_end"
         assert "error: point m=2.0, nu=0.0: nu must be positive" in cap.err
 
+    def test_missing_checkpoint_keeps_every_row(self, tmp_path, capsys):
+        # a point whose set-up fails with OSError is an error row, as a
+        # ValueError point is
+        missing = tmp_path / "gone.ckpt"
+        text = (
+            f"kind = from_checkpoint\npath = {missing}\nequation = model\nn = 16\n"
+            "amplitude = 1:1:2\nt_end = 0\n"
+        )
+        rc = cli.main(["sweep", write_config(tmp_path, text), "--jobs", "2"])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert cap.out.splitlines() == [
+            "m,nu,f0,g0,r0,outcome,t_outcome", "1.0,1.0,,,,error,", "2.0,1.0,,,,error,"
+        ]
+        for m in ("1.0", "2.0"):
+            assert f"error: point m={m}, nu=1.0: [Errno 2]" in cap.err
+        assert cap.err.count(str(missing)) == 2
+        assert "Traceback" not in cap.err
+
 
 class TestCmdReport:
+    def test_checkpoint_file_exit_2(self, tmp_path, capsys):
+        # a checkpoint is not text: report names the file, with no traceback
+        out = tmp_path / "run.jsonl"
+        cfgfile = write_config(
+            tmp_path,
+            "kind = random_solenoidal\nequation = model\nn = 16\nslope = -6\n"
+            f"t_end = 0.002\ndt_max = 0.002\ncheckpoint_every = 1\noutput_path = {out}\n",
+        )
+        assert cli.main(["run", cfgfile]) == 0
+        rc = cli.main(["report", f"{out}.ckpt"])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert cap.err.startswith(f"error: {out}.ckpt is not a text file: ")
+        assert "Traceback" not in cap.err
+
     def test_empty_file(self, tmp_path, capsys):
         p = tmp_path / "empty.jsonl"
         p.write_text("")

@@ -621,6 +621,22 @@ class TestSharedDerivedFields:
         assert shared.uh.tobytes() == alone.uh.tobytes()
         return fft_counts["fwd"], fft_counts["inv"]
 
+    @pytest.mark.parametrize("via", ["none", "cfl_dt", "sample"])
+    @pytest.mark.parametrize("equation", ["model", "full_strain", "velocity_ns"])
+    def test_step_consumes_its_bundle(self, equation, via):
+        # one lifetime rule for every derived array: the bundle holds what its
+        # readers made until the state's step, which empties it after stage 1
+        st = random_state(GridSpec(16, 16.0), 3, slope=-8.0, equation=equation)
+        b = diag._Sample.of_velocity(st.grid, st.uh)
+        if via == "cfl_dt":
+            cfl_dt(st, derived=b)
+        elif via == "sample":
+            diag.sample_functionals(b, 1.0, equation == "full_strain")
+            assert {"s_re", "u_re", "w_re", "lamb", "s2"} <= vars(b).keys()
+        shared = step(st, 1e-3, derived=b)
+        assert vars(b) == {}
+        assert shared.uh.tobytes() == step(st, 1e-3).uh.tobytes()
+
     @pytest.mark.parametrize("via", ["cfl_dt", "sample"])
     def test_velocity_stage_one_takes_kept_samples(self, fft_counts, via):
         # stage 1 of velocity_ns runs on the held u, 3 inverse transforms
@@ -791,12 +807,13 @@ class TestRunLifetime:
         assert left < st.uh.nbytes
 
     # a run's traced peak in n^3 float64 at n = 32, with a record and a
-    # checkpoint after every step, pinned 10% above the measured 32.0
-    # (model), 29.1 (full_strain) and 29.1 (velocity_ns). States that held
-    # S on the full layout, with the next one unpacked beside it, read 39.0,
-    # 35.5 and 36.0.
+    # checkpoint after every step, pinned 10% above the measured 29.1
+    # (model), 29.1 (full_strain) and 29.2 (velocity_ns). A model step that
+    # held the state's S samples through stages 2-4 read 33.3; states that
+    # held S on the full layout, with the next one unpacked beside it, read
+    # 39.0, 35.5 and 36.0.
     @pytest.mark.parametrize(
-        "equation, pin", [("model", 35.2), ("full_strain", 32.0), ("velocity_ns", 32.0)]
+        "equation, pin", [("model", 32.0), ("full_strain", 32.0), ("velocity_ns", 32.0)]
     )
     def test_run_peak_memory(self, tmp_path, equation, pin):
         import tracemalloc
@@ -815,6 +832,30 @@ class TestRunLifetime:
             tracemalloc.stop()
         assert report.outcome == "resolved_to_t_end"
         assert peak < pin * g.n**3 * 8
+
+
+class TestRunBlowup:
+    def test_last_record_after_non_finite_step(self, monkeypatch):
+        # the step that overflows has consumed the bundle of the state before
+        # it, so the final record of that state is taken from a fresh one
+        st = random_state(
+            GridSpec(16, 16.0), 3, slope=-8.0, t_end=5e-3, dt_max=1e-3, output_every=3
+        )
+        results = []
+        orig = dynamics._ifrk4
+
+        def overflow_second(*a):
+            results.append(orig(*a))
+            return results[0] if len(results) == 1 else np.full_like(results[0], np.inf)
+
+        monkeypatch.setattr(dynamics, "_ifrk4", overflow_second)
+        records = []
+        report = run(st, records.append)
+        assert report.outcome == "blowup_detected"
+        assert [r.t for r in records] == [0.0, report.t_outcome]
+        b = diag._Sample.of_velocity(st.grid, results[0])
+        want = diag.sample_functionals(b, st.params.nu, False)
+        assert (records[-1].E, records[-1].detS) == (want["E"], want["detS"])
 
 
 class TestOneProjection:

@@ -42,8 +42,12 @@ class TestInitSpec:
             InitSpec(kind="vortex_ring")
 
     def test_perturbed_family_lambda(self):
-        with pytest.raises(ValueError):
-            InitSpec(kind="perturbed_family", lam=0.5)
+        # initial_strain dilates by int(lam), so a lam it would round is refused
+        for lam in (0.5, 2.5, 3, 16):
+            with pytest.raises(ValueError, match=f"lambda must be one of 1, 2, 4, 8, got {lam}"):
+                InitSpec(kind="perturbed_family", lam=lam)
+        for lam in (1, 2.0, 4, 8.0):
+            assert InitSpec(kind="perturbed_family", lam=lam).lam == lam
 
     def test_checkpoint_needs_path(self):
         with pytest.raises(ValueError):
